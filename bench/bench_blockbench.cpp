@@ -121,8 +121,9 @@ int main() {
       core::DriverOptions options;
       options.worker_threads = 2;
       options.load_seed = profile.seed;
-      core::HammerDriver driver(sut.make_adapters(options.worker_threads),
-                                sut.make_adapters(1)[0], util::SteadyClock::shared(), options);
+      core::HammerDriver driver(core::SutCluster::single(sut.make_adapters(options.worker_threads),
+                                                         sut.make_adapters(1)[0]),
+                                util::SteadyClock::shared(), options);
       cell.result = driver.run(wf, nullptr);
       if (auto* fabric = dynamic_cast<chain::FabricSim*>(sut.chain.get())) {
         cell.mvcc_conflicts = fabric->mvcc_conflicts();

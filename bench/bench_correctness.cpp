@@ -43,7 +43,7 @@ int main() {
   workload::ControlSequence plan_rate =
       workload::ControlSequence::constant(rate, duration, std::chrono::milliseconds(250));
 
-  core::HammerDriver driver(sut.make_adapters(2), sut.make_adapters(1)[0],
+  core::HammerDriver driver(core::SutCluster::single(sut.make_adapters(2), sut.make_adapters(1)[0]),
                             util::SteadyClock::shared(), options);
   core::RunResult result = driver.run(wf, &plan_rate);
   std::printf("driver: %s\n", result.summary().c_str());

@@ -111,8 +111,10 @@ int main() {
     // receipts/height reply must not stall the poller for a full default
     // timeout with no second attempt.
     core::HammerDriver driver(
-        sut.make_adapters(options.worker_threads, adapter_config, client_faults),
-        sut.make_adapters(1, adapter_config)[0], util::SteadyClock::shared(), options);
+        core::SutCluster::single(
+            sut.make_adapters(options.worker_threads, adapter_config, client_faults),
+            sut.make_adapters(1, adapter_config)[0]),
+        util::SteadyClock::shared(), options);
     core::RunResult result = driver.run(bench::smallbank_workload(sut, txs), nullptr);
 
     std::uint64_t injected = 0;

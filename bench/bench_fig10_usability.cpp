@@ -92,8 +92,9 @@ int main() {
       runners.emplace_back([&, c] {
         core::DriverOptions options = client_options(2);
         options.server_id = "server-" + std::to_string(c);
-        core::HammerDriver driver(sut.make_adapters(2), sut.make_adapters(1)[0],
-                                  util::SteadyClock::shared(), options);
+        core::HammerDriver driver(
+            core::SutCluster::single(sut.make_adapters(2), sut.make_adapters(1)[0]),
+            util::SteadyClock::shared(), options);
         results[c] =
             driver.run(bench::smallbank_workload(sut, txs_per_run / 2, 100 + c), nullptr);
       });

@@ -49,8 +49,9 @@ int main() {
         std::chrono::milliseconds(
             static_cast<std::int64_t>(static_cast<double>(latency_txs) / latency_rate * 1000)),
         std::chrono::milliseconds(200));
-    core::HammerDriver latency_driver(sut.make_adapters(2), sut.make_adapters(1)[0],
-                                      util::SteadyClock::shared(), options);
+    core::HammerDriver latency_driver(
+        core::SutCluster::single(sut.make_adapters(2), sut.make_adapters(1)[0]),
+        util::SteadyClock::shared(), options);
     core::RunResult latency_run =
         latency_driver.run(bench::smallbank_workload(sut, latency_txs, 77), &rate);
 

@@ -25,19 +25,14 @@ core::RunResult run_framework(const core::DeployedChain& sut, core::TrackingMode
     // Blockbench's batch poller is coarser than Hammer's.
     options.poll_interval = std::chrono::milliseconds(100);
   }
-  if (mode == core::TrackingMode::kInteractive) {
-    // Caliper monitors each transaction individually — one receipt RPC per
-    // pending tx per tick, the per-transaction cost the paper measures
-    // (batched receipts would understate the baseline's overhead).
-    options.interactive_per_tx_poll = true;
-  }
   if (slow_chain) {
     // No framework polls a seconds-per-block chain every 2 ms; on this
     // single-core host an aggressive listener would starve the PoW miner
     // itself (SUT and framework share the core — see EXPERIMENTS.md).
     options.interactive_poll = std::chrono::milliseconds(100);
   }
-  core::HammerDriver driver(sut.make_adapters(options.worker_threads), sut.make_adapters(1)[0],
+  core::HammerDriver driver(core::SutCluster::single(sut.make_adapters(options.worker_threads),
+                                                     sut.make_adapters(1)[0]),
                             util::SteadyClock::shared(), options);
   return driver.run(bench::smallbank_workload(sut, txs), nullptr);
 }

@@ -110,9 +110,10 @@ int main() {
         // shortest probes and trip the sustain criterion spuriously.
         driver_options.rate_burst = 8.0;
         driver_options.load_seed = seed;
-        core::HammerDriver driver(sut.make_adapters(driver_options.worker_threads),
-                                  sut.make_adapters(1)[0], util::SteadyClock::shared(),
-                                  driver_options);
+        core::HammerDriver driver(
+            core::SutCluster::single(sut.make_adapters(driver_options.worker_threads),
+                                     sut.make_adapters(1)[0]),
+            util::SteadyClock::shared(), driver_options);
         return driver.run(bench::smallbank_workload(sut, txs, seed), nullptr);
       });
 

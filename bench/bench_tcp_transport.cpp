@@ -348,7 +348,8 @@ int main() {
     core::RunResult result;
     std::thread probe([&] {
       result = core::run_peak_probe(
-          sut.make_adapters(options.worker_threads), sut.make_adapters(1)[0],
+          core::SutCluster::single(sut.make_adapters(options.worker_threads),
+                                   sut.make_adapters(1)[0]),
           util::SteadyClock::shared(), options, bench::smallbank_workload(sut, probe_txs));
     });
     // One live scrape while the probe is in flight — what a Prometheus pull
@@ -384,8 +385,9 @@ int main() {
     core::DriverOptions options;
     options.worker_threads = 2;
     options.submit_batch_size = 16;
-    core::HammerDriver driver(sut.make_adapters(2, adapter_config), sut.make_adapters(1)[0],
-                              util::SteadyClock::shared(), options);
+    core::HammerDriver driver(
+        core::SutCluster::single(sut.make_adapters(2, adapter_config), sut.make_adapters(1)[0]),
+        util::SteadyClock::shared(), options);
     core::RunResult result = driver.run(bench::smallbank_workload(sut, probe_txs), nullptr);
     std::printf("  retries-armed batch=16 %8.0f tps  p50=%.2fms  (retries taken: %llu)\n",
                 result.tps, static_cast<double>(result.latency.percentile(50)) / 1000.0,

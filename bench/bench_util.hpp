@@ -79,7 +79,8 @@ inline workload::WorkloadFile smallbank_workload(const core::DeployedChain& sut,
 // Closed-loop saturation probe against one chain.
 inline core::RunResult probe_chain(const core::DeployedChain& sut, std::size_t txs,
                                    core::DriverOptions options = {}) {
-  core::HammerDriver driver(sut.make_adapters(options.worker_threads), sut.make_adapters(1)[0],
+  core::HammerDriver driver(core::SutCluster::single(sut.make_adapters(options.worker_threads),
+                                                     sut.make_adapters(1)[0]),
                             util::SteadyClock::shared(), options);
   return driver.run(smallbank_workload(sut, txs), nullptr);
 }

@@ -9,6 +9,9 @@
 #            runs), then the bench-regression check against
 #            ci/bench_baseline.json: one-sided `min` floors are FATAL,
 #            ±tolerance drift on noisy means is reported but non-fatal.
+#            Last, the benchmark (hammerbench/, its own CMake project over
+#            src/) is built and its unit tests run, so a src/ API change
+#            that breaks it fails here rather than at the next benchmark run.
 #   asan     -DHAMMER_SANITIZE=address, unit + smoke tests only.
 #   tsan     -DHAMMER_SANITIZE=thread,  unit + smoke tests only.
 #
@@ -33,14 +36,15 @@ BENCH_TIMEOUT="${CI_BENCH_TIMEOUT:-900}"
 
 banner() { printf '\n=== %s ===\n' "$*"; }
 
+LAUNCHER=()
+if command -v ccache >/dev/null 2>&1; then
+  LAUNCHER=(-DCMAKE_C_COMPILER_LAUNCHER=ccache -DCMAKE_CXX_COMPILER_LAUNCHER=ccache)
+fi
+
 configure_and_build() {
   local dir="$1"; shift
-  local launcher=()
-  if command -v ccache >/dev/null 2>&1; then
-    launcher=(-DCMAKE_C_COMPILER_LAUNCHER=ccache -DCMAKE_CXX_COMPILER_LAUNCHER=ccache)
-  fi
   banner "configure $dir ($*)"
-  cmake -B "$dir" -S . -DHAMMER_WERROR=ON "${launcher[@]}" "$@"
+  cmake -B "$dir" -S . -DHAMMER_WERROR=ON "${LAUNCHER[@]}" "$@"
   banner "build $dir"
   cmake --build "$dir" -j "$JOBS"
 }
@@ -61,6 +65,11 @@ run_release() {
   elif [ "$rc" -eq 1 ]; then
     echo "bench drift outside tolerance (non-fatal; shared runners are noisy)" >&2
   fi
+  local bench_dir=build-ci-hammerbench
+  banner "release: build the benchmark and run hammerbench_tests"
+  cmake -B "$bench_dir" -S hammerbench -DCMAKE_BUILD_TYPE=RelWithDebInfo "${LAUNCHER[@]}"
+  cmake --build "$bench_dir" -j "$JOBS" --target hammerbench hammerbench_tests
+  "$bench_dir/hammerbench_tests"
 }
 
 run_sanitizer() {

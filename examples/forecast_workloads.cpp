@@ -59,7 +59,7 @@ int main() {
 
   core::DriverOptions options;
   options.worker_threads = 2;
-  core::HammerDriver driver(sut.make_adapters(2), sut.make_adapters(1)[0],
+  core::HammerDriver driver(core::SutCluster::single(sut.make_adapters(2), sut.make_adapters(1)[0]),
                             util::SteadyClock::shared(), options);
   core::RunResult result = driver.run(wf, &sequence);
 

@@ -191,8 +191,9 @@ int main(int argc, char** argv) {
       // window on these short probes.
       probe_options.rate_burst = 8.0;
       probe_options.load_seed = seed;
-      core::HammerDriver probe_driver(sut.make_adapters(2), sut.make_adapters(1)[0],
-                                      util::SteadyClock::shared(), probe_options);
+      core::HammerDriver probe_driver(
+          core::SutCluster::single(sut.make_adapters(2), sut.make_adapters(1)[0]),
+          util::SteadyClock::shared(), probe_options);
       return probe_driver.run(wf, nullptr);
     });
     for (const core::SaturationProbe& probe : found.probes) {

@@ -37,8 +37,9 @@ int main() {
     core::DriverOptions options;
     options.worker_threads = 2;
     options.drain_timeout = std::chrono::seconds(30);
-    core::HammerDriver driver(sut.make_adapters(2), sut.make_adapters(1)[0],
-                              util::SteadyClock::shared(), options);
+    core::HammerDriver driver(
+        core::SutCluster::single(sut.make_adapters(2), sut.make_adapters(1)[0]),
+        util::SteadyClock::shared(), options);
     core::RunResult result = driver.run(wf, nullptr);
     std::printf("%-9s (%u shard%s): tps=%9.1f latency=%8.1fms committed=%llu/%zu\n",
                 name.c_str(), sut.chain->num_shards(), sut.chain->num_shards() > 1 ? "s" : "",

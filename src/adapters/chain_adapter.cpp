@@ -42,16 +42,9 @@ std::string ChainAdapter::submit(const chain::Transaction& tx) {
 }
 
 std::vector<ChainAdapter::SubmitResult> ChainAdapter::submit_batch(
-    const std::vector<chain::Transaction>& txs) {
-  return submit_batch(txs, telemetry::TraceContext{});
-}
-
-std::vector<ChainAdapter::SubmitResult> ChainAdapter::submit_batch(
     const std::vector<chain::Transaction>& txs, const telemetry::TraceContext& trace) {
   std::vector<SubmitResult> out(txs.size());
   if (txs.empty()) return out;
-  std::vector<std::string> ids(txs.size());
-  for (std::size_t i = 0; i < txs.size(); ++i) ids[i] = txs[i].compute_id();
 
   const rpc::RetryPolicy& policy = config_.retry;
   rpc::CallOptions call_opts = config_.call;
@@ -78,7 +71,7 @@ std::vector<ChainAdapter::SubmitResult> ChainAdapter::submit_batch(
       // Idempotent-resubmission rule: entries already on chain were
       // accepted by the failed attempt; report them ok instead of
       // submitting them twice.
-      open = reconcile_in_doubt(ids, open, out);
+      open = reconcile_in_doubt(txs, open, out);
       if (open.empty()) return out;
       continue;
     }
@@ -111,12 +104,14 @@ std::vector<ChainAdapter::SubmitResult> ChainAdapter::submit_batch(
   }
 }
 
-std::vector<std::size_t> ChainAdapter::reconcile_in_doubt(const std::vector<std::string>& ids,
-                                                          const std::vector<std::size_t>& open,
-                                                          std::vector<SubmitResult>& out) {
+std::vector<std::size_t> ChainAdapter::reconcile_in_doubt(
+    const std::vector<chain::Transaction>& txs, const std::vector<std::size_t>& open,
+    std::vector<SubmitResult>& out) {
+  // Ids are computed here, on the in-doubt path only: an accepted send
+  // learns each id from the SUT's reply.
   std::vector<std::string> poll;
   poll.reserve(open.size());
-  for (std::size_t idx : open) poll.push_back(ids[idx]);
+  for (std::size_t idx : open) poll.push_back(txs[idx].compute_id());
   std::vector<std::optional<ReceiptInfo>> found;
   try {
     found = receipts(poll);  // runs under the same retry policy
@@ -129,7 +124,7 @@ std::vector<std::size_t> ChainAdapter::reconcile_in_doubt(const std::vector<std:
   std::vector<std::size_t> still_open;
   for (std::size_t j = 0; j < open.size(); ++j) {
     if (found[j]) {
-      out[open[j]].tx_id = ids[open[j]];
+      out[open[j]].tx_id = std::move(poll[j]);
       out[open[j]].error.clear();
       out[open[j]].error_code = 0;
     } else {

@@ -88,14 +88,11 @@ class ChainAdapter {
   // through chain.receipts before resending (entries already on chain are
   // reported accepted, not submitted twice) and — when
   // RetryPolicy::on_rejected — rejected entries are resubmitted. Throws
-  // TransportError only once the policy is exhausted.
-  std::vector<SubmitResult> submit_batch(const std::vector<chain::Transaction>& txs);
-
-  // Same, carrying a distributed-tracing context: the whole batch frame is
-  // tagged with `trace` (one trace per frame — see telemetry/span.hpp). The
-  // untraced overload forwards here with a default (unsampled) context.
+  // TransportError only once the policy is exhausted. A sampled `trace`
+  // tags the whole batch frame (one trace per frame — see
+  // telemetry/span.hpp).
   std::vector<SubmitResult> submit_batch(const std::vector<chain::Transaction>& txs,
-                                         const telemetry::TraceContext& trace);
+                                         const telemetry::TraceContext& trace = {});
 
   // The peer-clock offset the transport measured at connect (identity for
   // in-process channels); the trace merger uses it to shift SUT span
@@ -130,8 +127,9 @@ class ChainAdapter {
   };
 
   // Polls many transactions with one chain.receipts RPC; the result aligns
-  // with `tx_ids` by index. This is what keeps interactive mode at one RPC
-  // per poll tick instead of one per pending transaction.
+  // with `tx_ids` by index (in-doubt submit reconciliation uses it).
+  // Interactive mode deliberately polls through tx_receipt instead: one RPC
+  // per pending transaction, the per-tx cost of Caliper-style listening.
   std::vector<std::optional<ReceiptInfo>> receipts(const std::vector<std::string>& tx_ids);
 
   // Single-transaction convenience wrapper over receipts().
@@ -144,7 +142,7 @@ class ChainAdapter {
   // `out`) after an in-doubt submit failure; returns the indices still to
   // resend. Unreachable receipts mean "resend everything" — duplicates are
   // absorbed downstream (pool dedup / TaskProcessor duplicate counting).
-  std::vector<std::size_t> reconcile_in_doubt(const std::vector<std::string>& ids,
+  std::vector<std::size_t> reconcile_in_doubt(const std::vector<chain::Transaction>& txs,
                                               const std::vector<std::size_t>& open,
                                               std::vector<SubmitResult>& out);
 

@@ -31,6 +31,13 @@ std::size_t BatchQueueProcessor::pending_count() const {
   return queue_.size();
 }
 
+std::vector<CompletedTx> BatchQueueProcessor::completed(std::size_t from) const {
+  std::scoped_lock lock(mu_);
+  if (from >= completed_.size()) return {};
+  return std::vector<CompletedTx>(completed_.begin() + static_cast<std::ptrdiff_t>(from),
+                                  completed_.end());
+}
+
 std::vector<CompletedTx> BatchQueueProcessor::pending_snapshot() const {
   std::scoped_lock lock(mu_);
   std::vector<CompletedTx> out;

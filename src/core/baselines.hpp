@@ -37,7 +37,9 @@ class BatchQueueProcessor {
                        std::span<const chain::TxReceipt> receipts);
 
   std::size_t pending_count() const;
-  const std::vector<CompletedTx>& completed() const { return completed_; }
+  // Completions from position `from` on, in completion order (a copy, safe
+  // while blocks are still being applied).
+  std::vector<CompletedTx> completed(std::size_t from = 0) const;
 
   // Remaining queue entries (id + start time), for end-of-run accounting.
   std::vector<CompletedTx> pending_snapshot() const;

@@ -18,8 +18,8 @@
 //                    senders to their shard to avoid the extra hop.
 //
 // The cluster is transport-agnostic (in-proc or TCP channels) and is what
-// HammerDriver drives end-to-end; `SutCluster::single` wraps the legacy
-// one-endpoint adapter set so existing call sites keep their behaviour.
+// HammerDriver drives end-to-end; `SutCluster::single` wraps a one-endpoint
+// adapter set.
 #pragma once
 
 #include <atomic>
@@ -112,8 +112,8 @@ class SutCluster {
  public:
   explicit SutCluster(std::vector<std::unique_ptr<SutTarget>> targets);
 
-  // Wraps pre-built single-endpoint adapters — the legacy HammerDriver
-  // constructor shape. The lone target owns every shard.
+  // Wraps pre-built single-endpoint adapters: worker adapters plus one
+  // for the block poller. The lone target owns every shard.
   static std::shared_ptr<SutCluster> single(
       std::vector<std::shared_ptr<adapters::ChainAdapter>> worker_adapters,
       std::shared_ptr<adapters::ChainAdapter> poll_adapter);

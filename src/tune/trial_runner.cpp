@@ -115,8 +115,10 @@ TrialOutcome LocalTrialRunner::run_trial(const TrialPoint& point) {
                               util::SteadyClock::shared(), options);
     result = driver.run(wf, nullptr);
   } else {
-    core::HammerDriver driver(sut.make_adapters(options.worker_threads),
-                              sut.make_adapters(1)[0], util::SteadyClock::shared(), options);
+    core::HammerDriver driver(
+        core::SutCluster::single(sut.make_adapters(options.worker_threads),
+                                 sut.make_adapters(1)[0]),
+        util::SteadyClock::shared(), options);
     result = driver.run(wf, nullptr);
   }
   return outcome_from_run(point, config_.slo_p99_ms, result.committed, result.failed,

@@ -71,7 +71,8 @@ StormOutcome run_storm() {
   options.submit_batch_size = 4;
   options.fault_injector = client_faults;
   core::RunResult result = core::run_peak_probe(
-      sut.make_adapters(1, adapter_config, client_faults), sut.make_adapters(1)[0],
+      core::SutCluster::single(sut.make_adapters(1, adapter_config, client_faults),
+                               sut.make_adapters(1)[0]),
       util::SteadyClock::shared(), options, wf);
 
   StormOutcome outcome;

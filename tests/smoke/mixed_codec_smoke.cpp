@@ -73,7 +73,7 @@ int main() {
   core::DriverOptions options;
   options.worker_threads = 2;
   options.submit_batch_size = 8;
-  core::RunResult result = core::run_peak_probe(workers, poller,
+  core::RunResult result = core::run_peak_probe(core::SutCluster::single(workers, poller),
                                                 util::SteadyClock::shared(), options, wf);
 
   std::printf("mixed codec probe: submitted=%llu committed=%llu unmatched=%llu tps=%.0f\n",

@@ -58,9 +58,10 @@ core::SaturationResult run_search() {
     driver_options.submit_batch_size = 8;
     driver_options.target_rate = rate;
     driver_options.load_seed = seed;
-    core::HammerDriver driver(sut.make_adapters(driver_options.worker_threads),
-                              sut.make_adapters(1)[0], util::SteadyClock::shared(),
-                              driver_options);
+    core::HammerDriver driver(
+        core::SutCluster::single(sut.make_adapters(driver_options.worker_threads),
+                                 sut.make_adapters(1)[0]),
+        util::SteadyClock::shared(), driver_options);
     return driver.run(wf, nullptr);
   });
 }

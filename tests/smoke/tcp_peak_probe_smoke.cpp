@@ -32,9 +32,9 @@ int main() {
   options.worker_threads = 2;
   options.submit_batch_size = 8;
   core::RunResult result =
-      core::run_peak_probe(sut.make_adapters(options.worker_threads),
-                           sut.make_adapters(1)[0], util::SteadyClock::shared(),
-                           options, wf);
+      core::run_peak_probe(core::SutCluster::single(sut.make_adapters(options.worker_threads),
+                                                    sut.make_adapters(1)[0]),
+                           util::SteadyClock::shared(), options, wf);
 
   std::printf("tcp peak probe: submitted=%llu committed=%llu unmatched=%llu tps=%.0f\n",
               static_cast<unsigned long long>(result.submitted),

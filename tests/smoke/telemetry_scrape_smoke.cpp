@@ -38,9 +38,10 @@ int main() {
 
   core::RunResult result;
   std::thread run([&] {
-    result = core::run_peak_probe(sut.make_adapters(options.worker_threads),
-                                  sut.make_adapters(1)[0], util::SteadyClock::shared(),
-                                  options, wf);
+    result = core::run_peak_probe(
+        core::SutCluster::single(sut.make_adapters(options.worker_threads),
+                                 sut.make_adapters(1)[0]),
+        util::SteadyClock::shared(), options, wf);
   });
 
   // Scrape mid-run over the SUT's own TCP port (the per-node exporter).
