@@ -27,6 +27,9 @@ void FabricSim::stop() {
   bool expected = true;
   if (!running_.compare_exchange_strong(expected, false)) return;
   pools_[0]->close();
+  // Pass through order_mu_ first: an orderer past its wait predicate is then
+  // blocked in wait() and cannot miss the notification (join() would hang).
+  { std::scoped_lock lock(order_mu_); }
   order_cv_.notify_all();
   if (orderer_.joinable()) orderer_.join();
 }

@@ -36,6 +36,17 @@ class FabricTest : public ::testing::Test {
   std::shared_ptr<FabricSim> chain_;
 };
 
+TEST(FabricLifecycleTest, StopRightAfterStartReturns) {
+  // stop() must wake an orderer caught between its wait predicate and the
+  // wait itself; a lost wakeup here hangs stop() in join(). The race window
+  // is narrow, so the cycle repeats.
+  FabricSim chain(fast_config(), util::SteadyClock::shared());
+  for (int i = 0; i < 50000; ++i) {
+    chain.start();
+    chain.stop();
+  }
+}
+
 TEST_F(FabricTest, CommitsEndorsedTransaction) {
   Transaction tx = signed_tx("alice", "smallbank", "deposit_checking",
                              json::object({{"customer", "alice"}, {"amount", 5}}));
