@@ -48,6 +48,7 @@ class BlockScanner {
         try {
           block = adapter.block(s, b);
         } catch (const Error& e) {
+          // The shard stays scanned up to b - 1, so the next sweep retries b.
           HLOG_WARN("driver") << "block fetch failed: " << e.what();
           break;
         }
@@ -58,8 +59,8 @@ class BlockScanner {
         // SUT clock shifts time between the include and detect stages.
         matched += match(block_time_us, std::span<const chain::TxReceipt>(block.receipts),
                          adapter.clock_offset().to_local(block.header.timestamp_us));
+        scanned[i] = b;
       }
-      scanned[i] = h;
     }
     return matched;
   }

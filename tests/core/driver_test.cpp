@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 
 #include "core/deployment.hpp"
@@ -150,6 +151,47 @@ TEST(DriverTest, MetricsPipelineReceivesRecords) {
   EXPECT_EQ(result.unmatched, 0u);
   EXPECT_EQ(db->table("Performance").row_count(), 100u);
   EXPECT_GT(options.metrics->query_tps(), 0);
+}
+
+// Forwards to the SUT, but turns the first chain.block reply that carries
+// receipts into a TransportError, as a connection reset mid-fetch would.
+class DropOneBlockChannel final : public rpc::Channel {
+ public:
+  explicit DropOneBlockChannel(std::shared_ptr<rpc::Channel> inner) : inner_(std::move(inner)) {}
+
+  json::Value call(const std::string& method, json::Value params,
+                   const rpc::CallOptions& opts = {}) override {
+    json::Value result = inner_->call(method, std::move(params), opts);
+    if (method == "chain.block" && !result.at("receipts").as_array().empty() &&
+        !dropped_.exchange(true)) {
+      throw TransportError("connection reset fetching a block");
+    }
+    return result;
+  }
+
+  bool dropped() const { return dropped_.load(); }
+
+ private:
+  std::shared_ptr<rpc::Channel> inner_;
+  std::atomic<bool> dropped_{false};
+};
+
+TEST(DriverTest, FailedBlockFetchIsRetriedOnTheNextSweep) {
+  Harness h("neuchain");
+  auto& sut = h.deployment->at("sut");
+  // The default adapter has no retries, so only the next sweep can fetch the
+  // dropped block again.
+  auto poll_channel = std::make_shared<DropOneBlockChannel>(sut.connect());
+  auto poll = std::make_shared<adapters::ChainAdapter>(poll_channel);
+  DriverOptions options;
+  options.worker_threads = 2;
+  options.drain_timeout = 5s;
+  HammerDriver driver(SutCluster::single(sut.make_adapters(2), poll),
+                      util::SteadyClock::shared(), options);
+  RunResult result = driver.run(h.make_workload(200), nullptr);
+  EXPECT_TRUE(poll_channel->dropped());
+  EXPECT_EQ(result.submitted, 200u);
+  EXPECT_EQ(result.unmatched, 0u);
 }
 
 TEST(DriverTest, SerialSigningModeStillCompletes) {
