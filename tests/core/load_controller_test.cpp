@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 #include <vector>
 
@@ -40,13 +41,26 @@ TEST(LoadControllerTest, PacedAcquireHoldsTheTargetRate) {
   EXPECT_NEAR(offered, 500.0, 500.0 * 0.05);
 }
 
+// Virtual time for one thread: sleep_until jumps straight to the deadline,
+// so a paced run's release times depend on the pacing arithmetic alone, not
+// on how the scheduler treats the test's sleeps.
+class JumpClock final : public util::Clock {
+ public:
+  util::TimePoint now() const override { return now_; }
+  void sleep_until(util::TimePoint deadline) override { now_ = std::max(now_, deadline); }
+
+ private:
+  util::TimePoint now_{};
+};
+
 TEST(LoadControllerTest, BatchBiggerThanBurstRunsDebtNotDeadlock) {
   LoadOptions options;
   options.rate = 4000.0;
   options.burst = 8.0;
-  LoadController load(options, clock_ptr());
+  LoadController load(options, std::make_shared<JumpClock>());
   // Each 32-token batch can never see 32 tokens at once; it must leave at
-  // burst-full and drive the bucket into debt. The long-run rate stays exact.
+  // burst-full and drive the bucket into debt. The long-run rate stays exact:
+  // 24 waits of 32/4000 s after the first release give 800 / 0.192 s.
   for (int i = 0; i < 25; ++i) load.acquire(32);
   EXPECT_EQ(load.released(), 800u);
   EXPECT_NEAR(load.offered_rate(), 4000.0, 4000.0 * 0.1);
