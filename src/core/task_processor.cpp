@@ -9,6 +9,9 @@
 namespace hammer::core {
 
 namespace {
+// The Bloom filter is sized for 1% false positives at expected_txs.
+constexpr double kBloomFpRate = 0.01;
+
 // Task-processing (Algorithm 1) health series: how hard the Bloom filter
 // and hash index are working while the run is live.
 struct TaskProcMetrics {
@@ -46,8 +49,8 @@ struct TaskProcMetrics {
 
 TaskProcessor::TaskProcessor(Options options)
     : options_(options),
-      index_(options.initial_index_capacity, options.growable_index),
-      bloom_(options.expected_txs, options.bloom_fp_rate) {
+      index_(options.initial_index_capacity),
+      bloom_(options.expected_txs, kBloomFpRate) {
   records_.reserve(options.expected_txs);
 }
 

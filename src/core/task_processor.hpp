@@ -48,8 +48,6 @@ class TaskProcessor {
  public:
   struct Options {
     std::size_t expected_txs = 100000;
-    double bloom_fp_rate = 0.01;
-    bool growable_index = true;       // ablation: fixed-size index
     std::size_t initial_index_capacity = 1024;
     // Shard count for ShardedTaskProcessor (1 = the classic single-mutex
     // processor, bit-for-bit the paper's Algorithm 1). TaskProcessor itself
@@ -60,8 +58,8 @@ class TaskProcessor {
     telemetry::TxTracer* tracer = nullptr;
     // Record completion positions as they happen so pollers can stream
     // finished records out mid-run via drain_newly_completed() — the feed
-    // for the write-behind metrics path. Off by default: non-streaming
-    // runs shouldn't pay the extra bookkeeping.
+    // for the metrics pipeline. Off by default: runs without a pipeline
+    // shouldn't pay the extra bookkeeping.
     bool track_completions = false;
   };
 
