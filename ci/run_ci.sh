@@ -2,7 +2,8 @@
 # Tiered CI harness — the same three jobs .github/workflows/ci.yml runs,
 # executable locally: `ci/run_ci.sh [release|asan|tsan|all]` (default all).
 #
-#   release  RelWithDebInfo, -Werror, unit + smoke under -j, then the
+#   release  ci/check_docs.py (README drift), then
+#            RelWithDebInfo, -Werror, unit + smoke under -j, then the
 #            bench-smoke tier in its own ctest invocation (RUN_SERIAL
 #            benches can't interleave with a parallel unit wave, and the
 #            tier gets --timeout headroom for the saturation/fleet/grid
@@ -50,6 +51,8 @@ configure_and_build() {
 }
 
 run_release() {
+  banner "release: README names every bench binary and smoke test"
+  python3 ci/check_docs.py
   configure_and_build build-ci-release -DCMAKE_BUILD_TYPE=RelWithDebInfo
   banner "release: ctest unit + smoke"
   ctest --test-dir build-ci-release --output-on-failure -j "$JOBS" -L '^unit$|^smoke$'

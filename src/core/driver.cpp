@@ -279,11 +279,10 @@ void HammerDriver::worker_loop(SutTarget& target, std::size_t slot, SendQueue& q
 }
 
 void HammerDriver::poll_loop(SutTarget& target, util::Duration interval) {
-  // Detect stage: this target's poller sweeps the tracker, then (with
-  // write-behind metrics) hands records completed since the last sweep to
-  // the metrics cache, so the committer lands them in SQL while the run is
-  // still going (each poller's drain is disjoint).
-  const bool live_metrics = options_.metrics != nullptr && options_.metrics->write_behind();
+  // Detect stage: this target's poller sweeps the tracker, then (with a
+  // metrics pipeline) hands records completed since the last sweep to the
+  // metrics cache, so they land in SQL while the run is still going (each
+  // poller's drain is disjoint).
   std::vector<TxRecord> fresh;
   while (!stop_polling_.load()) {
     std::size_t matched = tracker_->sweep(target);
@@ -292,7 +291,7 @@ void HammerDriver::poll_loop(SutTarget& target, util::Duration interval) {
       DriverMetrics::get().completed.add(matched);
       DriverMetrics::get().inflight.sub(matched);
     }
-    if (live_metrics) {
+    if (options_.metrics) {
       fresh.clear();
       tracker_->drain_completed(fresh);
       if (!fresh.empty()) options_.metrics->push_records(fresh);
@@ -319,20 +318,19 @@ RunResult HammerDriver::run(const workload::WorkloadFile& workload,
     tracer_.reset();
     merger_.reset();
   }
-  const bool live_metrics = options_.metrics != nullptr && options_.metrics->write_behind();
   TaskProcessor::Options tp = options_.task_processor;
   tp.expected_txs = std::max(tp.expected_txs, total);
   tp.tracer = tracer_.get();
-  // Write-behind metrics stream completed records out mid-run; the
+  // A metrics pipeline streams completed records out mid-run; the
   // processor keeps a newly-completed set for the pollers to drain.
-  tp.track_completions = live_metrics;
+  tp.track_completions = options_.metrics != nullptr;
   // The tracking mode is read here only: it picks the tracker and its
   // pollers' sweep cadence.
   tracker_ = make_completion_tracker(options_.mode, *cluster_, clock_, tp);
   const util::Duration sweep_interval = options_.mode == TrackingMode::kInteractive
                                             ? options_.interactive_poll
                                             : options_.poll_interval;
-  if (live_metrics) options_.metrics->start_committer();
+  if (options_.metrics) options_.metrics->start_committer();
   rejections_.store(0);
   send_failures_.store(0);
   stop_polling_.store(false);
@@ -460,22 +458,17 @@ RunResult HammerDriver::run(const workload::WorkloadFile& workload,
     result.processor = processor->stats_json();
   }
   if (options_.metrics) {
-    if (live_metrics) {
-      // The pollers streamed completed records as they landed; catch any
-      // stragglers completed after the last sweep, cache the still-pending
-      // ones (TTL-armed, parity with the legacy path), then drain the
-      // committer so every buffered row is in SQL before we return.
-      std::vector<TxRecord> fresh;
-      tracker_->drain_completed(fresh);
-      for (const TxRecord& record : records) {
-        if (!record.completed) fresh.push_back(record);
-      }
-      if (!fresh.empty()) options_.metrics->push_records(fresh);
-      options_.metrics->flush_and_stop();
-    } else {
-      options_.metrics->push_records(records);
-      options_.metrics->commit_to_sql();
+    // The pollers streamed completed records as they landed; catch any
+    // stragglers completed after the last sweep, cache the still-pending
+    // ones (TTL-armed), then drain so every buffered row is in SQL before
+    // we return.
+    std::vector<TxRecord> fresh;
+    tracker_->drain_completed(fresh);
+    for (const TxRecord& record : records) {
+      if (!record.completed) fresh.push_back(record);
     }
+    if (!fresh.empty()) options_.metrics->push_records(fresh);
+    options_.metrics->flush_and_stop();
   }
   result.rejected = rejections_.load();
   result.send_failures = send_failures_.load();

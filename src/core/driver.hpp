@@ -110,8 +110,8 @@ struct DriverOptions {
   // see ShardedTaskProcessor).
   TaskProcessor::Options task_processor;
 
-  // Optional metrics pipeline; when set, records stream into the cache and
-  // are committed to SQL at the end of the run.
+  // Optional metrics pipeline; when set, completed records stream into the
+  // cache during the run and the run ends with its flush_and_stop().
   std::shared_ptr<MetricsPipeline> metrics;
 
   // Optional: the injector driving this run's fault plan (client- or

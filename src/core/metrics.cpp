@@ -1,7 +1,9 @@
 #include "core/metrics.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
+#include <string_view>
 
 #include "telemetry/registry.hpp"
 #include "util/errors.hpp"
@@ -21,40 +23,44 @@ const char* const kLatencySql =
 
 namespace {
 
-// Producer-side hammer_store_* series; the commit-side ones live in
-// store_committer.cpp (registry lookups by name are idempotent).
-struct PushMetrics {
+// hammer_store_* family: health of the cache -> SQL commit path.
+struct StoreMetrics {
   telemetry::Counter& rows_buffered;
+  telemetry::Counter& rows_committed;
   telemetry::Counter& rows_dropped;
+  telemetry::Counter& flushes;
+  telemetry::StageHistogram& flush_us;
 
-  static PushMetrics& get() {
-    static PushMetrics metrics;
+  static StoreMetrics& get() {
+    static StoreMetrics metrics;
     return metrics;
   }
 
  private:
-  PushMetrics()
-      : rows_buffered(telemetry::MetricRegistry::global().counter(
-            "hammer_store_rows_buffered_total",
-            "Completed records marked dirty for the write-behind committer")),
-        rows_dropped(telemetry::MetricRegistry::global().counter(
-            "hammer_store_rows_dropped_total",
-            "Rows lost to dirty-set overflow or unbuildable records")) {}
+  StoreMetrics()
+      : rows_buffered(reg().counter("hammer_store_rows_buffered_total",
+                                    "Completed records marked dirty for the committer")),
+        rows_committed(reg().counter("hammer_store_rows_committed_total",
+                                     "Rows landed in the table store by the committer")),
+        rows_dropped(reg().counter("hammer_store_rows_dropped_total",
+                                   "Rows lost to dirty-set overflow")),
+        flushes(reg().counter("hammer_store_flushes_total",
+                              "Committer drain rounds that found dirty rows")),
+        flush_us(reg().histogram("hammer_store_flush_duration_us",
+                                 "Wall time of one committer drain round")) {}
+
+  static telemetry::MetricRegistry& reg() { return telemetry::MetricRegistry::global(); }
 };
 
-// Cache hash -> Performance row. Records without an end_time are still
-// pending and have no business in the table (nullopt).
-std::optional<std::vector<minisql::Cell>> build_performance_row(const std::string& key,
-                                                                const kvstore::Hash& fields) {
-  if (key.rfind("perf:", 0) != 0 || fields.count("end_time") == 0) return std::nullopt;
-  auto field = [&fields](const char* name) -> std::string {
-    auto it = fields.find(name);
-    return it == fields.end() ? std::string() : it->second;
-  };
-  return std::vector<minisql::Cell>{
-      key.substr(5),           field("status"),       std::stoll(field("start_time")),
-      std::stoll(field("end_time")), field("client_id"), field("server_id"),
-      field("chainname"),      field("contractname")};
+constexpr std::string_view kKeyPrefix = "perf:";
+
+// Cache hash -> Performance row. Only completed records are marked dirty, so
+// every drained hash carries all eight fields.
+std::vector<minisql::Cell> performance_row(const std::string& key, const kvstore::Hash& fields) {
+  return {key.substr(kKeyPrefix.size()),       fields.at("status"),
+          std::stoll(fields.at("start_time")), std::stoll(fields.at("end_time")),
+          fields.at("client_id"),              fields.at("server_id"),
+          fields.at("chainname"),              fields.at("contractname")};
 }
 
 }  // namespace
@@ -65,6 +71,7 @@ MetricsPipeline::MetricsPipeline(std::shared_ptr<kvstore::KvStore> cache,
     : cache_(std::move(cache)), db_(std::move(db)), options_(options) {
   HAMMER_CHECK(cache_ != nullptr);
   HAMMER_CHECK(db_ != nullptr);
+  HAMMER_CHECK(options_.commit_batch_size > 0);
   if (!db_->has_table("Performance")) {
     db_->create_table("Performance", {{"tx_id", minisql::ColumnType::kText},
                                       {"status", minisql::ColumnType::kText},
@@ -79,20 +86,14 @@ MetricsPipeline::MetricsPipeline(std::shared_ptr<kvstore::KvStore> cache,
     db_->create_index("Performance", "status");
     db_->create_index("Performance", "tx_id");
   }
-  if (options_.write_behind) {
-    StoreCommitter::Options committer_options;
-    committer_options.batch_size = options_.commit_batch_size;
-    committer_options.flush_interval = options_.flush_interval;
-    committer_options.table = "Performance";
-    committer_ = std::make_unique<StoreCommitter>(cache_, db_, build_performance_row,
-                                                  committer_options);
-  }
 }
+
+MetricsPipeline::~MetricsPipeline() { flush_and_stop(); }
 
 void MetricsPipeline::push_records(std::span<const TxRecord> records) {
   std::vector<std::pair<std::string, std::string>> fields;
   for (const TxRecord& record : records) {
-    std::string key = "perf:" + record.tx_id;
+    std::string key = std::string(kKeyPrefix) + record.tx_id;
     fields.clear();
     fields.emplace_back(
         "status", record.completed && record.status == chain::TxStatus::kCommitted ? "1" : "0");
@@ -103,61 +104,95 @@ void MetricsPipeline::push_records(std::span<const TxRecord> records) {
     fields.emplace_back("chainname", record.chainname);
     fields.emplace_back("contractname", record.contractname);
 
-    if (!options_.write_behind) {
-      cache_->hset_many(key, fields);
-      continue;
-    }
-    // Completed records enter the dirty set for the committer; pending ones
-    // age out on the TTL if they never complete.
+    // Completed records enter the dirty set for the drain; pending ones age
+    // out on the TTL if they never complete.
     kvstore::KvStore::HsetManyResult result = cache_->hset_many(
         key, fields, /*mark_dirty=*/record.completed,
         record.completed ? util::Duration::zero() : options_.pending_ttl);
-    if (result.dirty_marked) PushMetrics::get().rows_buffered.add(1);
+    if (result.dirty_marked) StoreMetrics::get().rows_buffered.add(1);
     if (result.dirty_dropped) {
       rows_dropped_.fetch_add(1, std::memory_order_relaxed);
-      PushMetrics::get().rows_dropped.add(1);
+      StoreMetrics::get().rows_dropped.add(1);
+    }
+    // Inline drains check after every record, so one large push cannot
+    // overflow a dirty set that holds at least a batch.
+    if (!options_.write_behind && cache_->dirty_count() >= options_.commit_batch_size) {
+      drain_round();
     }
   }
-  if (options_.write_behind && committer_ && committer_->running() &&
+  if (options_.write_behind && running_.load(std::memory_order_acquire) &&
       cache_->dirty_count() >= options_.commit_batch_size) {
-    committer_->notify();
-  }
-}
-
-std::size_t MetricsPipeline::commit_to_sql() {
-  // Collect completed records first (the scan holds shard locks), then
-  // insert + delete.
-  std::vector<std::pair<std::string, kvstore::Hash>> done;
-  cache_->scan_hashes([&](const std::string& key, const kvstore::Hash& value) {
-    if (key.rfind("perf:", 0) == 0 && value.count("end_time") > 0) {
-      done.emplace_back(key, value);
+    {
+      std::scoped_lock lock(mu_);
+      wakeup_ = true;
     }
-  });
-  for (const auto& [key, hash_fields] : done) {
-    std::optional<std::vector<minisql::Cell>> row = build_performance_row(key, hash_fields);
-    if (row) db_->insert("Performance", std::move(*row));
-    cache_->del(key);
+    cv_.notify_one();
   }
-  return done.size();
 }
 
 void MetricsPipeline::start_committer() {
-  if (committer_) committer_->start();
+  if (!options_.write_behind || running_.exchange(true, std::memory_order_acq_rel)) return;
+  {
+    std::scoped_lock lock(mu_);
+    stop_ = false;
+    wakeup_ = false;
+  }
+  thread_ = std::thread([this] { run_loop(); });
 }
 
-std::size_t MetricsPipeline::flush() { return committer_ ? committer_->flush() : 0; }
+void MetricsPipeline::run_loop() {
+  for (;;) {
+    {
+      std::unique_lock lock(mu_);
+      cv_.wait_for(lock, options_.flush_interval, [this] { return wakeup_ || stop_; });
+      wakeup_ = false;
+      if (stop_) return;  // flush_and_stop() runs the final drain itself
+    }
+    drain_round();
+  }
+}
+
+std::size_t MetricsPipeline::drain_round() {
+  std::scoped_lock drain_lock(drain_mu_);
+  const std::int64_t begin_us = util::SteadyClock::shared()->now_us();
+
+  // Collect under the shard locks (drain_dirty holds one at a time), insert
+  // after — the SQL writer lock is never taken while a cache shard is held.
+  std::vector<std::vector<minisql::Cell>> rows;
+  cache_->drain_dirty([&rows](const std::string& key, const kvstore::Hash& fields) {
+    rows.push_back(performance_row(key, fields));
+  });
+  const std::size_t committed = rows.size();
+  for (std::size_t begin = 0; begin < committed; begin += options_.commit_batch_size) {
+    std::size_t end = std::min(committed, begin + options_.commit_batch_size);
+    std::vector<std::vector<minisql::Cell>> batch(
+        std::make_move_iterator(rows.begin() + static_cast<std::ptrdiff_t>(begin)),
+        std::make_move_iterator(rows.begin() + static_cast<std::ptrdiff_t>(end)));
+    db_->insert_batch("Performance", std::move(batch));
+  }
+  cache_->evict_expired();
+
+  if (committed > 0) {
+    StoreMetrics& metrics = StoreMetrics::get();
+    rows_committed_.fetch_add(committed, std::memory_order_relaxed);
+    metrics.rows_committed.add(committed);
+    metrics.flushes.add(1);
+    metrics.flush_us.record(util::SteadyClock::shared()->now_us() - begin_us);
+  }
+  return committed;
+}
+
+std::size_t MetricsPipeline::flush() { return drain_round(); }
 
 std::size_t MetricsPipeline::flush_and_stop() {
-  return committer_ ? committer_->flush_and_stop() : 0;
-}
-
-std::uint64_t MetricsPipeline::rows_dropped() const {
-  std::uint64_t dropped = rows_dropped_.load(std::memory_order_relaxed);
-  return committer_ ? dropped + committer_->rows_dropped() : dropped;
-}
-
-std::uint64_t MetricsPipeline::rows_committed() const {
-  return committer_ ? committer_->rows_committed() : 0;
+  {
+    std::scoped_lock lock(mu_);
+    stop_ = true;
+  }
+  cv_.notify_one();
+  if (thread_.joinable()) thread_.join();
+  running_.store(false, std::memory_order_release);
+  return drain_round();
 }
 
 std::int64_t MetricsPipeline::query_tps() const {

@@ -5,24 +5,35 @@
 // the MySQL-like Performance table that the visualization layer queries
 // with the Table II SQL.
 //
-// Two commit modes:
-//   - legacy synchronous (write_behind = false): push_records() caches
-//     everything, commit_to_sql() scans the whole cache once at run end —
-//     the original row-at-a-time path, kept as the equivalence oracle.
-//   - write-behind (write_behind = true): completed records are marked
-//     dirty as they are pushed and a StoreCommitter drains them into
-//     batched inserts on a background thread, so latency samples land in
-//     SQL at cluster rate instead of piling up for a run-end scan. Pending
-//     (incomplete) records carry a TTL and age out of the cache.
+// One commit path: push_records() marks every completed record dirty, and a
+// drain round empties the cache's dirty sets into batched multi-row inserts,
+// so latency samples land in SQL while the run is still going. Pending
+// (incomplete) records carry the pending TTL and age out of the cache if
+// they never complete. `write_behind` only picks the thread that drains:
+//   - true: the committer thread (start_committer()) wakes every
+//     flush_interval, or early once the dirty backlog reaches
+//     commit_batch_size. Without a started thread, rows wait for flush().
+//   - false: the thread calling push_records() drains inline once the
+//     backlog reaches commit_batch_size.
+// Every drained row is committed in the same round — nothing sits in a
+// private buffer — so the only data at risk is what the bounded dirty sets
+// hold, and flush_and_stop() drains exactly that.
+//
+// Backpressure: the dirty sets are bounded per shard. A refused mark drops
+// the row and counts it (hammer_store_rows_dropped_total) rather than
+// blocking the driving path on its own measurement plumbing.
 #pragma once
 
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "core/store_committer.hpp"
 #include "core/task_processor.hpp"
 #include "kvstore/kvstore.hpp"
 #include "minisql/database.hpp"
@@ -35,14 +46,15 @@ extern const char* const kTpsSql;
 extern const char* const kLatencySql;
 
 struct MetricsOptions {
-  // Enables the write-behind committer path.
+  // Drain on the committer thread instead of inline on the pushing thread.
   bool write_behind = false;
-  // Committer flush policy (see StoreCommitter::Options).
+  // Rows per multi-row insert, and the dirty backlog that triggers an inline
+  // drain or wakes the committer early.
   std::size_t commit_batch_size = 256;
+  // Committer wake-up cadence while the backlog stays under the batch size.
   util::Duration flush_interval = std::chrono::milliseconds(50);
   // TTL armed on records cached before completion; a record that never
-  // completes ages out of the cache instead of leaking. zero() = no expiry
-  // (legacy behaviour).
+  // completes ages out of the cache instead of leaking. zero() = no expiry.
   util::Duration pending_ttl = util::Duration::zero();
 };
 
@@ -50,28 +62,31 @@ class MetricsPipeline {
  public:
   MetricsPipeline(std::shared_ptr<kvstore::KvStore> cache,
                   std::shared_ptr<minisql::Database> db, MetricsOptions options = {});
+  ~MetricsPipeline();  // flush_and_stop()
 
-  bool write_behind() const { return options_.write_behind; }
+  MetricsPipeline(const MetricsPipeline&) = delete;
+  MetricsPipeline& operator=(const MetricsPipeline&) = delete;
 
   // Driver -> cache: writes/updates one hash per record ("perf:<tx_id>").
-  // Only completed records carry an end_time. In write-behind mode completed
-  // records are marked dirty for the committer (dirty-set overflow drops the
-  // row and counts it) and incomplete ones get the pending TTL.
+  // Only completed records carry an end_time; they are marked dirty for the
+  // drain (dirty-set overflow drops the row and counts it). Incomplete ones
+  // get the pending TTL.
   void push_records(std::span<const TxRecord> records);
 
-  // Cache -> SQL, legacy synchronous path: scans the cache, inserts
-  // completed records row-at-a-time and removes them. Returns rows
-  // committed.
-  std::size_t commit_to_sql();
-
-  // Write-behind controls (no-ops when write_behind is off).
+  // Spawns the committer thread; a no-op unless write_behind is set.
   void start_committer();
-  std::size_t flush();           // synchronous drain of everything dirty
-  std::size_t flush_and_stop();  // graceful end-of-run drain
+  // Synchronous drain on the caller's thread: commits every dirty row in
+  // batched inserts and sweeps expired cache entries. Returns rows committed.
+  std::size_t flush();
+  // Graceful end-of-run drain: stops the committer thread (if any), then
+  // flushes. Idempotent; returns the rows committed by the final flush.
+  std::size_t flush_and_stop();
 
   // Completed rows dropped because a shard's dirty set was full.
-  std::uint64_t rows_dropped() const;
-  std::uint64_t rows_committed() const;
+  std::uint64_t rows_dropped() const { return rows_dropped_.load(std::memory_order_relaxed); }
+  std::uint64_t rows_committed() const {
+    return rows_committed_.load(std::memory_order_relaxed);
+  }
 
   // Table II queries against the committed table.
   std::int64_t query_tps() const;
@@ -80,10 +95,22 @@ class MetricsPipeline {
   const std::shared_ptr<minisql::Database>& database() const { return db_; }
 
  private:
+  void run_loop();
+  std::size_t drain_round();
+
   std::shared_ptr<kvstore::KvStore> cache_;
   std::shared_ptr<minisql::Database> db_;
   MetricsOptions options_;
-  std::unique_ptr<StoreCommitter> committer_;  // write-behind mode only
+
+  std::mutex mu_;  // guards the wake flags only — producers never wait on a drain
+  std::condition_variable cv_;
+  bool wakeup_ = false;  // guarded by mu_
+  bool stop_ = false;    // guarded by mu_
+  std::mutex drain_mu_;  // serializes drain rounds (committer vs flush vs inline)
+  std::thread thread_;
+  std::atomic<bool> running_{false};
+
+  std::atomic<std::uint64_t> rows_committed_{0};
   std::atomic<std::uint64_t> rows_dropped_{0};
 };
 

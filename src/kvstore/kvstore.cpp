@@ -1,28 +1,8 @@
 #include "kvstore/kvstore.hpp"
 
-#include <charconv>
-
 #include "util/errors.hpp"
 
 namespace hammer::kvstore {
-
-using hammer::RejectedError;
-
-namespace {
-template <typename T>
-T& as_type(std::variant<std::string, Hash, List>& v, const char* op) {
-  if (auto* p = std::get_if<T>(&v)) return *p;
-  throw RejectedError(std::string("WRONGTYPE operation ") + op +
-                      " against a key holding another kind of value");
-}
-
-template <typename T>
-const T& as_type(const std::variant<std::string, Hash, List>& v, const char* op) {
-  if (const auto* p = std::get_if<T>(&v)) return *p;
-  throw RejectedError(std::string("WRONGTYPE operation ") + op +
-                      " against a key holding another kind of value");
-}
-}  // namespace
 
 KvStore::KvStore(std::shared_ptr<util::Clock> clock, Options options)
     : clock_(std::move(clock)), options_(options) {
@@ -37,11 +17,7 @@ KvStore::KvStore(std::shared_ptr<util::Clock> clock, Options options)
 KvStore::KvStore(std::shared_ptr<util::Clock> clock, std::size_t num_shards)
     : KvStore(std::move(clock), Options{.num_shards = num_shards}) {}
 
-KvStore::Shard& KvStore::shard_for(const std::string& key) {
-  return *shards_[std::hash<std::string>{}(key) % shards_.size()];
-}
-
-const KvStore::Shard& KvStore::shard_for(const std::string& key) const {
+KvStore::Shard& KvStore::shard_for(const std::string& key) const {
   return *shards_[std::hash<std::string>{}(key) % shards_.size()];
 }
 
@@ -65,67 +41,6 @@ KvStore::Entry* KvStore::find_live(Shard& shard, const std::string& key) const {
   return &it->second;
 }
 
-void KvStore::set(const std::string& key, std::string value) {
-  Shard& shard = shard_for(key);
-  std::scoped_lock lock(shard.mu);
-  charge_op_cost();
-  shard.map[key] = Entry{std::move(value), std::nullopt, false};
-}
-
-std::optional<std::string> KvStore::get(const std::string& key) const {
-  auto& shard = const_cast<Shard&>(shard_for(key));
-  std::scoped_lock lock(shard.mu);
-  Entry* entry = find_live(shard, key);
-  if (!entry) return std::nullopt;
-  return as_type<std::string>(entry->value, "GET");
-}
-
-std::int64_t KvStore::incr_by(const std::string& key, std::int64_t delta) {
-  Shard& shard = shard_for(key);
-  std::scoped_lock lock(shard.mu);
-  charge_op_cost();
-  Entry* entry = find_live(shard, key);
-  if (!entry) {
-    shard.map[key] = Entry{std::to_string(delta), std::nullopt, false};
-    return delta;
-  }
-  auto& str = as_type<std::string>(entry->value, "INCRBY");
-  std::int64_t current = 0;
-  auto [ptr, ec] = std::from_chars(str.data(), str.data() + str.size(), current);
-  if (ec != std::errc{} || ptr != str.data() + str.size()) {
-    throw RejectedError("value is not an integer: '" + str + "'");
-  }
-  current += delta;
-  str = std::to_string(current);
-  return current;
-}
-
-bool KvStore::hset(const std::string& key, const std::string& field, std::string value) {
-  Shard& shard = shard_for(key);
-  std::scoped_lock lock(shard.mu);
-  charge_op_cost();
-  Entry* entry = find_live(shard, key);
-  if (!entry) {
-    Hash h;
-    h.emplace(field, std::move(value));
-    shard.map[key] = Entry{std::move(h), std::nullopt, false};
-    return true;
-  }
-  auto& h = as_type<Hash>(entry->value, "HSET");
-  auto [it, inserted] = h.insert_or_assign(field, std::move(value));
-  (void)it;
-  return inserted;
-}
-
-bool KvStore::mark_dirty_locked(Shard& shard, const std::string& key, Entry& entry) {
-  if (entry.dirty) return true;
-  if (shard.dirty.size() >= options_.dirty_capacity_per_shard) return false;
-  shard.dirty.push_back(key);
-  entry.dirty = true;
-  dirty_count_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
 KvStore::HsetManyResult KvStore::hset_many(
     const std::string& key, std::span<const std::pair<std::string, std::string>> fields,
     bool mark_dirty, util::Duration ttl) {
@@ -133,135 +48,40 @@ KvStore::HsetManyResult KvStore::hset_many(
   std::scoped_lock lock(shard.mu);
   charge_op_cost();
   Entry* entry = find_live(shard, key);
-  if (!entry) {
-    auto [it, inserted] = shard.map.emplace(key, Entry{Hash{}, std::nullopt, false});
-    (void)inserted;
-    entry = &it->second;
-  }
-  auto& h = as_type<Hash>(entry->value, "HSET");
+  if (!entry) entry = &shard.map.emplace(key, Entry{}).first->second;
   HsetManyResult result;
   for (const auto& [field, value] : fields) {
-    auto [it, inserted] = h.insert_or_assign(field, value);
-    (void)it;
-    if (inserted) ++result.created;
+    if (entry->value.insert_or_assign(field, value).second) ++result.created;
   }
   if (ttl > util::Duration::zero()) entry->expires_at = clock_->now() + ttl;
   if (mark_dirty) {
     // A record bound for the table store must not age out before the drain
     // (it may have been cached earlier, incomplete, with a pending TTL).
     entry->expires_at.reset();
-    result.dirty_marked = mark_dirty_locked(shard, key, *entry);
+    if (entry->dirty) {
+      result.dirty_marked = true;  // already queued: a cheap no-op
+    } else if (shard.dirty.size() < options_.dirty_capacity_per_shard) {
+      shard.dirty.push_back(key);
+      entry->dirty = true;
+      dirty_count_.fetch_add(1, std::memory_order_relaxed);
+      result.dirty_marked = true;
+    }
     result.dirty_dropped = !result.dirty_marked;
   }
   return result;
 }
 
-std::optional<std::string> KvStore::hget(const std::string& key, const std::string& field) const {
-  auto& shard = const_cast<Shard&>(shard_for(key));
-  std::scoped_lock lock(shard.mu);
-  Entry* entry = find_live(shard, key);
-  if (!entry) return std::nullopt;
-  const auto& h = as_type<Hash>(entry->value, "HGET");
-  auto it = h.find(field);
-  if (it == h.end()) return std::nullopt;
-  return it->second;
-}
-
 Hash KvStore::hgetall(const std::string& key) const {
-  auto& shard = const_cast<Shard&>(shard_for(key));
-  std::scoped_lock lock(shard.mu);
-  Entry* entry = find_live(shard, key);
-  if (!entry) return {};
-  return as_type<Hash>(entry->value, "HGETALL");
-}
-
-std::size_t KvStore::hlen(const std::string& key) const {
-  auto& shard = const_cast<Shard&>(shard_for(key));
-  std::scoped_lock lock(shard.mu);
-  Entry* entry = find_live(shard, key);
-  if (!entry) return 0;
-  return as_type<Hash>(entry->value, "HLEN").size();
-}
-
-std::size_t KvStore::rpush(const std::string& key, std::string value) {
   Shard& shard = shard_for(key);
   std::scoped_lock lock(shard.mu);
-  charge_op_cost();
   Entry* entry = find_live(shard, key);
-  if (!entry) {
-    List l;
-    l.push_back(std::move(value));
-    shard.map[key] = Entry{std::move(l), std::nullopt, false};
-    return 1;
-  }
-  auto& l = as_type<List>(entry->value, "RPUSH");
-  l.push_back(std::move(value));
-  return l.size();
-}
-
-List KvStore::lrange(const std::string& key, std::int64_t start, std::int64_t stop) const {
-  auto& shard = const_cast<Shard&>(shard_for(key));
-  std::scoped_lock lock(shard.mu);
-  Entry* entry = find_live(shard, key);
-  if (!entry) return {};
-  const auto& l = as_type<List>(entry->value, "LRANGE");
-  auto n = static_cast<std::int64_t>(l.size());
-  if (start < 0) start += n;
-  if (stop < 0) stop += n;
-  start = std::max<std::int64_t>(start, 0);
-  stop = std::min<std::int64_t>(stop, n - 1);
-  if (start > stop) return {};
-  return List(l.begin() + start, l.begin() + stop + 1);
-}
-
-std::size_t KvStore::llen(const std::string& key) const {
-  auto& shard = const_cast<Shard&>(shard_for(key));
-  std::scoped_lock lock(shard.mu);
-  Entry* entry = find_live(shard, key);
-  if (!entry) return 0;
-  return as_type<List>(entry->value, "LLEN").size();
-}
-
-bool KvStore::del(const std::string& key) {
-  Shard& shard = shard_for(key);
-  std::scoped_lock lock(shard.mu);
-  charge_op_cost();
-  return shard.map.erase(key) > 0;
+  return entry ? entry->value : Hash{};
 }
 
 bool KvStore::exists(const std::string& key) const {
-  auto& shard = const_cast<Shard&>(shard_for(key));
+  Shard& shard = shard_for(key);
   std::scoped_lock lock(shard.mu);
   return find_live(shard, key) != nullptr;
-}
-
-bool KvStore::expire(const std::string& key, util::Duration ttl) {
-  Shard& shard = shard_for(key);
-  std::scoped_lock lock(shard.mu);
-  charge_op_cost();
-  Entry* entry = find_live(shard, key);
-  if (!entry) return false;
-  entry->expires_at = clock_->now() + ttl;
-  return true;
-}
-
-std::size_t KvStore::size() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::scoped_lock lock(shard->mu);
-    for (const auto& [key, entry] : shard->map) {
-      if (!expired(entry)) ++total;
-    }
-  }
-  return total;
-}
-
-bool KvStore::mark_dirty(const std::string& key) {
-  Shard& shard = shard_for(key);
-  std::scoped_lock lock(shard.mu);
-  Entry* entry = find_live(shard, key);
-  if (!entry) return false;
-  return mark_dirty_locked(shard, key, *entry);
 }
 
 std::size_t KvStore::drain_dirty(
@@ -277,13 +97,12 @@ std::size_t KvStore::drain_dirty(
       dirty_count_.fetch_sub(batch.size(), std::memory_order_relaxed);
       for (const std::string& key : batch) {
         Entry* entry = find_live(*shard, key);
-        // A dirty key may have been deleted or expired since it was marked;
-        // those rows were evicted, not committed, and are simply skipped.
+        // A dirty key may have expired since it was marked (a later write
+        // re-armed its TTL); that row was evicted, not committed, and is
+        // simply skipped.
         if (!entry || !entry->dirty) continue;
-        if (const auto* h = std::get_if<Hash>(&entry->value)) {
-          fn(key, *h);
-          ++drained;
-        }
+        fn(key, entry->value);
+        ++drained;
         shard->map.erase(key);
       }
     }
@@ -305,66 +124,6 @@ std::size_t KvStore::evict_expired() {
     }
   }
   return evicted;
-}
-
-std::vector<KvStore::Reply> KvStore::pipeline(const std::vector<Command>& commands) {
-  std::vector<Reply> replies;
-  replies.reserve(commands.size());
-  for (const Command& cmd : commands) {
-    Reply reply;
-    try {
-      switch (cmd.op) {
-        case Command::Op::kSet:
-          set(cmd.key, cmd.value);
-          break;
-        case Command::Op::kGet:
-          if (auto v = get(cmd.key)) reply.value = *v;
-          break;
-        case Command::Op::kDel:
-          reply.integer = del(cmd.key) ? 1 : 0;
-          break;
-        case Command::Op::kHset:
-          reply.integer = hset(cmd.key, cmd.field, cmd.value) ? 1 : 0;
-          break;
-        case Command::Op::kHget:
-          if (auto v = hget(cmd.key, cmd.field)) reply.value = *v;
-          break;
-        case Command::Op::kIncrBy:
-          reply.integer = incr_by(cmd.key, cmd.delta);
-          break;
-        case Command::Op::kRpush:
-          reply.integer = static_cast<std::int64_t>(rpush(cmd.key, cmd.value));
-          break;
-      }
-    } catch (const std::exception& e) {
-      reply.ok = false;
-      reply.error = e.what();
-    }
-    replies.push_back(std::move(reply));
-  }
-  return replies;
-}
-
-void KvStore::scan_hashes(
-    const std::function<void(const std::string& key, const Hash& value)>& fn) const {
-  for (const auto& shard : shards_) {
-    std::scoped_lock lock(shard->mu);
-    for (const auto& [key, entry] : shard->map) {
-      if (expired(entry)) continue;
-      if (const auto* h = std::get_if<Hash>(&entry.value)) fn(key, *h);
-    }
-  }
-}
-
-std::vector<std::string> KvStore::keys() const {
-  std::vector<std::string> out;
-  for (const auto& shard : shards_) {
-    std::scoped_lock lock(shard->mu);
-    for (const auto& [key, entry] : shard->map) {
-      if (!expired(entry)) out.push_back(key);
-    }
-  }
-  return out;
 }
 
 }  // namespace hammer::kvstore

@@ -1,20 +1,20 @@
 // In-memory key-value store standing in for the Redis cluster of the
 // paper's architecture (Fig. 2): the driver caches transaction vector-list
-// state here, and a committer drains it into the minisql table store
-// ("MySQL") for the visualization layer.
+// state here, and the metrics pipeline drains it into the minisql table
+// store ("MySQL") for the visualization layer.
 //
-// Supports the Redis subset Hammer needs: strings (GET/SET/INCR), hashes
-// (HSET/HGET/HGETALL, multi-field HSET), lists (RPUSH/LRANGE), key expiry,
-// pipelined batches and a full scan. Keys are sharded by hash across
-// cache-line-padded, independently locked partitions so driver threads and
-// the committer do not serialize on one mutex.
+// Carries only the Redis subset the pipeline uses: a multi-field HSET
+// with an optional dirty mark and TTL, the dirty-set drain, an expiry
+// sweep, and HGETALL/EXISTS as the read side. Keys are sharded by hash
+// across cache-line-padded, independently locked partitions so driver
+// threads and the committer do not serialize on one mutex.
 //
 // Write-behind support: every shard keeps a *dirty set* — keys whose
 // latest state has not yet been drained to the table store. Producers mark
 // keys dirty (bounded per shard; overflow is reported so the caller can
-// count dropped rows), and the committer's drain_dirty() empties each
-// shard's set in turn, handing the live hash values to a callback and
-// evicting them from the cache.
+// count dropped rows), and drain_dirty() empties each shard's set in turn,
+// handing the live hash values to a callback and evicting them from the
+// cache.
 //
 // Scaling model: `op_cost_us` charges a modeled per-command processing
 // cost (slept, not burned, while the shard lock is held — the same idiom
@@ -35,7 +35,6 @@
 #include <span>
 #include <string>
 #include <unordered_map>
-#include <variant>
 #include <vector>
 
 #include "util/clock.hpp"
@@ -43,7 +42,6 @@
 namespace hammer::kvstore {
 
 using Hash = std::map<std::string, std::string>;
-using List = std::vector<std::string>;
 
 class KvStore {
  public:
@@ -60,25 +58,10 @@ class KvStore {
   KvStore(std::shared_ptr<util::Clock> clock, Options options);
   explicit KvStore(std::shared_ptr<util::Clock> clock, std::size_t num_shards = 16);
 
-  // --- string ops ---
-  void set(const std::string& key, std::string value);
-  std::optional<std::string> get(const std::string& key) const;
-  // Returns the post-increment value; key created at `delta` when absent.
-  // Throws RejectedError if the value is not an integer string.
-  std::int64_t incr_by(const std::string& key, std::int64_t delta);
-
-  // --- hash ops ---
-  // Returns true when the field was newly created.
-  bool hset(const std::string& key, const std::string& field, std::string value);
-  std::optional<std::string> hget(const std::string& key, const std::string& field) const;
-  Hash hgetall(const std::string& key) const;
-  std::size_t hlen(const std::string& key) const;
-
   // Multi-field HSET: one lock acquisition (and one modeled command cost)
-  // for the whole record instead of one per field. Optionally marks the key
-  // dirty in the same critical section (write-behind producers) and/or arms
-  // a TTL (ttl > 0; pending records that never complete age out of the
-  // cache instead of leaking).
+  // for the whole record. Optionally marks the key dirty in the same
+  // critical section and/or arms a TTL (ttl > 0; pending records that
+  // never complete age out of the cache instead of leaking).
   struct HsetManyResult {
     std::size_t created = 0;   // newly created fields
     bool dirty_marked = false; // key entered the shard's dirty set
@@ -88,90 +71,49 @@ class KvStore {
                            std::span<const std::pair<std::string, std::string>> fields,
                            bool mark_dirty = false, util::Duration ttl = util::Duration::zero());
 
-  // --- generic ---
-  bool del(const std::string& key);
+  // Read side: the live hash (empty when absent or expired), and liveness.
+  Hash hgetall(const std::string& key) const;
   bool exists(const std::string& key) const;
-  bool expire(const std::string& key, util::Duration ttl);
-  std::size_t size() const;  // live (non-expired) key count
 
   // --- write-behind dirty sets ---
-  // Marks the key for the next drain. Returns false (and counts nothing)
-  // when the shard's dirty set is at capacity — the caller decides whether
-  // that is a dropped row. A key already dirty is a cheap no-op.
-  bool mark_dirty(const std::string& key);
   // Total keys currently awaiting drain (relaxed; a live gauge).
   std::size_t dirty_count() const {
     return dirty_count_.load(std::memory_order_relaxed);
   }
   // Empties every shard's dirty set: each dirty key still live in the cache
-  // is handed to fn (hash keys expose their fields) and evicted. Shards are
-  // drained one at a time — producers on other shards make progress — and
-  // each non-empty shard round charges one modeled command cost (the
-  // committer's pipelined HGETALL+DEL round trip). Returns keys drained.
+  // is handed to fn and evicted. Shards are drained one at a time —
+  // producers on other shards make progress — and each non-empty shard
+  // round charges one modeled command cost (the committer's pipelined
+  // HGETALL+DEL round trip). Returns keys drained.
   std::size_t drain_dirty(
       const std::function<void(const std::string& key, const Hash& fields)>& fn);
 
   // --- TTL eviction ---
   // Active sweep erasing every expired entry (lazy expiry still applies on
-  // reads). The committer runs this once per flush interval. Returns the
+  // reads). The committer runs this once per drain round. Returns the
   // number of entries evicted.
   std::size_t evict_expired();
-
-  // --- pipelining ---
-  // One round trip applying many commands (paper: "processes ... through a
-  // pipeline"). Commands run in order; each reply slot holds the op result
-  // or an error message.
-  struct Command {
-    enum class Op { kSet, kGet, kDel, kHset, kHget, kIncrBy, kRpush } op;
-    std::string key;
-    std::string field;  // HSET/HGET field
-    std::string value;  // SET/HSET/RPUSH payload
-    std::int64_t delta = 0;
-  };
-  struct Reply {
-    bool ok = true;
-    std::string value;       // GET/HGET result (empty if missing)
-    std::int64_t integer = 0;  // INCRBY/RPUSH/DEL result
-    std::string error;
-  };
-  std::vector<Reply> pipeline(const std::vector<Command>& commands);
-
-  // --- list ops ---
-  std::size_t rpush(const std::string& key, std::string value);
-  // Inclusive range; negative indices count from the tail (Redis semantics).
-  List lrange(const std::string& key, std::int64_t start, std::int64_t stop) const;
-  std::size_t llen(const std::string& key) const;
-
-  // --- scan ---
-  // Invokes fn for every live key (hash keys expose their fields). Used by
-  // the legacy synchronous Redis→MySQL commit. Shards are visited one at a
-  // time so writers on other shards make progress during a scan.
-  void scan_hashes(const std::function<void(const std::string& key, const Hash& value)>& fn) const;
-  std::vector<std::string> keys() const;
 
   std::size_t shard_count() const { return shards_.size(); }
 
  private:
   struct Entry {
-    std::variant<std::string, Hash, List> value;
+    Hash value;
     std::optional<util::TimePoint> expires_at;
     bool dirty = false;  // present in the shard's dirty set
   };
   // Cache-line padded: neighbouring shard locks never share a line, so a
   // contended shard does not slow its neighbours by false sharing.
   struct alignas(64) Shard {
-    mutable std::mutex mu;
+    std::mutex mu;
     std::unordered_map<std::string, Entry> map;
     std::vector<std::string> dirty;  // keys awaiting write-behind drain
   };
 
-  Shard& shard_for(const std::string& key);
-  const Shard& shard_for(const std::string& key) const;
+  Shard& shard_for(const std::string& key) const;
   bool expired(const Entry& entry) const;
   // Sleeps the modeled per-command cost; call with the shard lock held.
   void charge_op_cost() const;
-  // Caller holds shard.mu. Returns false when the dirty set is full.
-  bool mark_dirty_locked(Shard& shard, const std::string& key, Entry& entry);
 
   // Returns nullptr when absent or expired (erases lazily).
   Entry* find_live(Shard& shard, const std::string& key) const;

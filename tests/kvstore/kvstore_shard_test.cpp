@@ -1,5 +1,5 @@
 // Sharding, dirty-set and TTL-eviction behaviour of the kvstore — including
-// the concurrent get/put/TTL stress that the CI thread-sanitizer job runs.
+// the concurrent write/read/TTL stress that the CI thread-sanitizer job runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -25,10 +25,11 @@ TEST_F(ShardedKvStoreTest, ShardCountHonored) {
 }
 
 TEST_F(ShardedKvStoreTest, KeysVisibleAcrossAllShards) {
-  for (int i = 0; i < 100; ++i) store_.set("key-" + std::to_string(i), std::to_string(i));
-  EXPECT_EQ(store_.size(), 100u);
   for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(store_.get("key-" + std::to_string(i)).value(), std::to_string(i));
+    store_.hset_many("key-" + std::to_string(i), Fields{{"f", std::to_string(i)}});
+  }
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(store_.hgetall("key-" + std::to_string(i)).at("f"), std::to_string(i));
   }
 }
 
@@ -37,7 +38,7 @@ TEST_F(ShardedKvStoreTest, HsetManySetsAllFieldsUnderOneCall) {
   KvStore::HsetManyResult result = store_.hset_many("h", fields);
   EXPECT_EQ(result.created, 3u);
   EXPECT_FALSE(result.dirty_marked);
-  EXPECT_EQ(store_.hget("h", "b").value(), "2");
+  EXPECT_EQ(store_.hgetall("h").at("b"), "2");
   // Re-assigning existing fields creates nothing new.
   result = store_.hset_many("h", fields);
   EXPECT_EQ(result.created, 0u);
@@ -64,10 +65,14 @@ TEST_F(ShardedKvStoreTest, MarkDirtyDedupsAndDrains) {
 
 TEST_F(ShardedKvStoreTest, DirtyKeyDeletedBeforeDrainIsSkipped) {
   store_.hset_many("h1", Fields{{"f", "1"}}, /*mark_dirty=*/true);
-  store_.del("h1");
+  // A later write re-arms a TTL on the dirty key, and the sweep deletes it.
+  store_.hset_many("h1", Fields{{"g", "2"}}, false, std::chrono::seconds(1));
+  clock_->advance(std::chrono::seconds(2));
+  EXPECT_EQ(store_.evict_expired(), 1u);
   std::size_t drained = store_.drain_dirty(
       [](const std::string&, const Hash&) { FAIL() << "deleted key must not drain"; });
   EXPECT_EQ(drained, 0u);
+  EXPECT_EQ(store_.dirty_count(), 0u);
 }
 
 TEST_F(ShardedKvStoreTest, DirtyCapacityDropsOverflow) {
@@ -79,7 +84,7 @@ TEST_F(ShardedKvStoreTest, DirtyCapacityDropsOverflow) {
   EXPECT_TRUE(overflow.dirty_dropped);
   EXPECT_EQ(small.dirty_count(), 2u);
   // The value itself is still cached — only the drain mark was refused.
-  EXPECT_EQ(small.hget("c", "f").value(), "3");
+  EXPECT_EQ(small.hgetall("c").at("f"), "3");
 }
 
 TEST_F(ShardedKvStoreTest, EvictExpiredSweepsEveryShard) {
@@ -87,11 +92,14 @@ TEST_F(ShardedKvStoreTest, EvictExpiredSweepsEveryShard) {
     store_.hset_many("ttl-" + std::to_string(i), Fields{{"f", "x"}}, false,
                      std::chrono::seconds(5));
   }
-  for (int i = 0; i < 20; ++i) store_.set("keep-" + std::to_string(i), "y");
+  for (int i = 0; i < 20; ++i) store_.hset_many("keep-" + std::to_string(i), Fields{{"f", "y"}});
   EXPECT_EQ(store_.evict_expired(), 0u);
   clock_->advance(std::chrono::seconds(6));
   EXPECT_EQ(store_.evict_expired(), 20u);
-  EXPECT_EQ(store_.size(), 20u);
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_FALSE(store_.exists("ttl-" + std::to_string(i)));
+    EXPECT_TRUE(store_.exists("keep-" + std::to_string(i)));
+  }
 }
 
 TEST_F(ShardedKvStoreTest, MarkDirtyClearsPendingTtl) {
@@ -114,14 +122,14 @@ TEST(KvStoreOpCostTest, OpCostChargesModeledTime) {
   auto clock = util::SteadyClock::shared();
   KvStore costed(clock, KvStore::Options{.num_shards = 2, .op_cost_us = 5000});
   std::int64_t before = clock->now_us();
-  costed.set("a", "1");
+  costed.hset_many("a", Fields{{"f", "1"}});
   costed.hset_many("b", Fields{{"f", "1"}});
   EXPECT_GE(clock->now_us() - before, 10000);  // two ops at 5ms each
 }
 
-// The TSAN target: producers hammer get/put/hset_many/TTL across shards
-// while a drainer loops drain_dirty + evict_expired. Run under
-// -DHAMMER_SANITIZE=thread in CI.
+// The TSAN target: producers hammer hset_many (dirty marks and TTLs) and
+// reads across shards while a drainer loops drain_dirty + evict_expired.
+// Run under -DHAMMER_SANITIZE=thread in CI.
 TEST(ShardedKvStoreConcurrencyTest, ConcurrentGetPutTtlAndDrain) {
   auto clock = util::SteadyClock::shared();
   KvStore store(clock, KvStore::Options{.num_shards = 8});
@@ -144,9 +152,10 @@ TEST(ShardedKvStoreConcurrencyTest, ConcurrentGetPutTtlAndDrain) {
         std::string key = "k-" + std::to_string(t) + "-" + std::to_string(i);
         store.hset_many(key, Fields{{"f", std::to_string(i)}}, /*mark_dirty=*/i % 2 == 0,
                         i % 3 == 0 ? std::chrono::microseconds(50) : util::Duration::zero());
-        store.set("s-" + std::to_string(t), std::to_string(i));
-        store.get("s-" + std::to_string((t + 1) % kThreads));
-        if (i % 16 == 0) store.expire("s-" + std::to_string(t), std::chrono::microseconds(10));
+        store.hset_many("s-" + std::to_string(t), Fields{{"f", std::to_string(i)}}, false,
+                        i % 16 == 0 ? std::chrono::microseconds(10) : util::Duration::zero());
+        store.hgetall("s-" + std::to_string((t + 1) % kThreads));
+        store.exists(key);
       }
     });
   }

@@ -4,10 +4,10 @@
 
 #include <thread>
 
-#include "util/errors.hpp"
-
 namespace hammer::kvstore {
 namespace {
+
+using Fields = std::vector<std::pair<std::string, std::string>>;
 
 class KvStoreTest : public ::testing::Test {
  protected:
@@ -15,165 +15,43 @@ class KvStoreTest : public ::testing::Test {
   KvStore store_{clock_, 4};
 };
 
-TEST_F(KvStoreTest, SetGetDel) {
-  store_.set("k", "v");
-  EXPECT_EQ(store_.get("k").value(), "v");
-  EXPECT_TRUE(store_.exists("k"));
-  EXPECT_TRUE(store_.del("k"));
-  EXPECT_FALSE(store_.get("k").has_value());
-  EXPECT_FALSE(store_.del("k"));
-}
-
-TEST_F(KvStoreTest, SetOverwrites) {
-  store_.set("k", "v1");
-  store_.set("k", "v2");
-  EXPECT_EQ(store_.get("k").value(), "v2");
-}
-
-TEST_F(KvStoreTest, IncrByCreatesAndAccumulates) {
-  EXPECT_EQ(store_.incr_by("n", 5), 5);
-  EXPECT_EQ(store_.incr_by("n", -2), 3);
-  EXPECT_EQ(store_.get("n").value(), "3");
-}
-
-TEST_F(KvStoreTest, IncrByOnNonIntegerThrows) {
-  store_.set("k", "abc");
-  EXPECT_THROW(store_.incr_by("k", 1), RejectedError);
-}
-
 TEST_F(KvStoreTest, HashOperations) {
-  EXPECT_TRUE(store_.hset("h", "f1", "v1"));
-  EXPECT_FALSE(store_.hset("h", "f1", "v2"));  // overwrite, not new
-  EXPECT_TRUE(store_.hset("h", "f2", "x"));
-  EXPECT_EQ(store_.hget("h", "f1").value(), "v2");
-  EXPECT_FALSE(store_.hget("h", "nope").has_value());
-  EXPECT_EQ(store_.hlen("h"), 2u);
+  EXPECT_EQ(store_.hset_many("h", Fields{{"f1", "v1"}}).created, 1u);
+  // f1 is overwritten, not new; f2 is new.
+  EXPECT_EQ(store_.hset_many("h", Fields{{"f1", "v2"}, {"f2", "x"}}).created, 1u);
+  EXPECT_TRUE(store_.exists("h"));
   Hash all = store_.hgetall("h");
   EXPECT_EQ(all.size(), 2u);
+  EXPECT_EQ(all.at("f1"), "v2");
   EXPECT_EQ(all.at("f2"), "x");
-}
-
-TEST_F(KvStoreTest, ListOperations) {
-  EXPECT_EQ(store_.rpush("l", "a"), 1u);
-  EXPECT_EQ(store_.rpush("l", "b"), 2u);
-  EXPECT_EQ(store_.rpush("l", "c"), 3u);
-  EXPECT_EQ(store_.llen("l"), 3u);
-  List mid = store_.lrange("l", 1, 1);
-  ASSERT_EQ(mid.size(), 1u);
-  EXPECT_EQ(mid[0], "b");
-  // Redis negative index semantics.
-  List tail = store_.lrange("l", -2, -1);
-  ASSERT_EQ(tail.size(), 2u);
-  EXPECT_EQ(tail[0], "b");
-  EXPECT_EQ(tail[1], "c");
-  EXPECT_TRUE(store_.lrange("l", 5, 9).empty());
-}
-
-TEST_F(KvStoreTest, WrongTypeThrows) {
-  store_.set("s", "v");
-  EXPECT_THROW(store_.hget("s", "f"), RejectedError);
-  EXPECT_THROW(store_.rpush("s", "v"), RejectedError);
-  store_.hset("h", "f", "v");
-  EXPECT_THROW(store_.get("h"), RejectedError);
+  EXPECT_FALSE(store_.exists("nope"));
+  EXPECT_TRUE(store_.hgetall("nope").empty());
 }
 
 TEST_F(KvStoreTest, ExpiryRemovesKeyAfterTtl) {
-  store_.set("k", "v");
-  EXPECT_TRUE(store_.expire("k", std::chrono::milliseconds(100)));
+  store_.hset_many("k", Fields{{"f", "v"}}, false, std::chrono::milliseconds(100));
   clock_->advance_ms(50);
   EXPECT_TRUE(store_.exists("k"));
   clock_->advance_ms(60);
   EXPECT_FALSE(store_.exists("k"));
-  EXPECT_FALSE(store_.get("k").has_value());
-}
-
-TEST_F(KvStoreTest, ExpireOnMissingKeyReturnsFalse) {
-  EXPECT_FALSE(store_.expire("nope", std::chrono::seconds(1)));
-}
-
-TEST_F(KvStoreTest, SetClearsPriorExpiry) {
-  store_.set("k", "v");
-  store_.expire("k", std::chrono::milliseconds(10));
-  store_.set("k", "v2");
-  clock_->advance_ms(50);
-  EXPECT_EQ(store_.get("k").value(), "v2");
-}
-
-TEST_F(KvStoreTest, SizeCountsLiveKeysOnly) {
-  store_.set("a", "1");
-  store_.set("b", "2");
-  store_.expire("b", std::chrono::milliseconds(5));
-  EXPECT_EQ(store_.size(), 2u);
-  clock_->advance_ms(10);
-  EXPECT_EQ(store_.size(), 1u);
-}
-
-TEST_F(KvStoreTest, PipelineAppliesInOrder) {
-  using Cmd = KvStore::Command;
-  std::vector<Cmd> cmds = {
-      {Cmd::Op::kSet, "k", "", "v", 0},
-      {Cmd::Op::kGet, "k", "", "", 0},
-      {Cmd::Op::kIncrBy, "n", "", "", 7},
-      {Cmd::Op::kHset, "h", "f", "hv", 0},
-      {Cmd::Op::kHget, "h", "f", "", 0},
-      {Cmd::Op::kRpush, "l", "", "x", 0},
-      {Cmd::Op::kDel, "k", "", "", 0},
-  };
-  auto replies = store_.pipeline(cmds);
-  ASSERT_EQ(replies.size(), 7u);
-  EXPECT_EQ(replies[1].value, "v");
-  EXPECT_EQ(replies[2].integer, 7);
-  EXPECT_EQ(replies[3].integer, 1);
-  EXPECT_EQ(replies[4].value, "hv");
-  EXPECT_EQ(replies[5].integer, 1);
-  EXPECT_EQ(replies[6].integer, 1);
-  EXPECT_FALSE(store_.exists("k"));
-}
-
-TEST_F(KvStoreTest, PipelineErrorDoesNotAbortBatch) {
-  using Cmd = KvStore::Command;
-  store_.set("s", "notanumber");
-  std::vector<Cmd> cmds = {
-      {Cmd::Op::kIncrBy, "s", "", "", 1},   // fails
-      {Cmd::Op::kSet, "ok", "", "yes", 0},  // still applies
-  };
-  auto replies = store_.pipeline(cmds);
-  EXPECT_FALSE(replies[0].ok);
-  EXPECT_FALSE(replies[0].error.empty());
-  EXPECT_TRUE(replies[1].ok);
-  EXPECT_EQ(store_.get("ok").value(), "yes");
-}
-
-TEST_F(KvStoreTest, ScanHashesVisitsOnlyHashes) {
-  store_.set("str", "v");
-  store_.hset("h1", "f", "1");
-  store_.hset("h2", "f", "2");
-  std::map<std::string, Hash> seen;
-  store_.scan_hashes([&](const std::string& key, const Hash& value) { seen[key] = value; });
-  EXPECT_EQ(seen.size(), 2u);
-  EXPECT_EQ(seen.at("h1").at("f"), "1");
-}
-
-TEST_F(KvStoreTest, KeysListsLiveKeys) {
-  store_.set("a", "1");
-  store_.hset("b", "f", "1");
-  auto keys = store_.keys();
-  EXPECT_EQ(keys.size(), 2u);
+  EXPECT_TRUE(store_.hgetall("k").empty());
 }
 
 TEST_F(KvStoreTest, ConcurrentWritersDoNotLoseUpdates) {
   auto steady = std::make_shared<util::SteadyClock>();
   KvStore store(steady, 8);
   constexpr int kThreads = 4;
-  constexpr int kIncrements = 5000;
+  constexpr int kWrites = 5000;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&store] {
-      for (int i = 0; i < kIncrements; ++i) store.incr_by("counter", 1);
+    threads.emplace_back([&store, t] {
+      for (int i = 0; i < kWrites; ++i) {
+        store.hset_many("h", Fields{{std::to_string(t) + "-" + std::to_string(i), "1"}});
+      }
     });
   }
   for (auto& t : threads) t.join();
-  EXPECT_EQ(store.get("counter").value(), std::to_string(kThreads * kIncrements));
+  EXPECT_EQ(store.hgetall("h").size(), static_cast<std::size_t>(kThreads * kWrites));
 }
 
 }  // namespace

@@ -25,7 +25,7 @@ class RunReportTest : public ::testing::Test {
 
   void commit(std::vector<core::TxRecord> records) {
     metrics_.push_records(records);
-    metrics_.commit_to_sql();
+    metrics_.flush();
   }
 
   std::shared_ptr<kvstore::KvStore> cache_;
