@@ -12,7 +12,12 @@
 #            ±tolerance drift on noisy means is reported but non-fatal.
 #            Last, the benchmark (hammerbench/, its own CMake project over
 #            src/) is built and its unit tests run, so a src/ API change
-#            that breaks it fails here rather than at the next benchmark run.
+#            that breaks it fails here rather than at the next benchmark run;
+#            then the built hammerbench runs each workload for 3 s untraced
+#            and `peak` once traced (the per-layer ledger). A nonzero exit
+#            fails the job: its self-checks (conservation, ledger ground
+#            truth, every signature verifies, every transaction matched)
+#            exit 1 when one breaks.
 #   asan     -DHAMMER_SANITIZE=address, unit + smoke tests only.
 #   tsan     -DHAMMER_SANITIZE=thread,  unit + smoke tests only.
 #
@@ -73,6 +78,11 @@ run_release() {
   cmake -B "$bench_dir" -S hammerbench -DCMAKE_BUILD_TYPE=RelWithDebInfo "${LAUNCHER[@]}"
   cmake --build "$bench_dir" -j "$JOBS" --target hammerbench hammerbench_tests
   "$bench_dir/hammerbench_tests"
+  banner "release: hammerbench self-checks (each workload 3 s, then peak traced)"
+  for workload in replay peak cluster; do
+    "$bench_dir/hammerbench" --workload "$workload" --seed 7 --seconds 3 --trace 0
+  done
+  "$bench_dir/hammerbench" --workload peak --seed 7 --seconds 3 --trace 1
 }
 
 run_sanitizer() {

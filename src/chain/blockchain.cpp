@@ -152,10 +152,8 @@ std::uint32_t Blockchain::shard_for_sender(const std::string& sender) const {
 }
 
 std::string Blockchain::submit(Transaction tx) {
-  inject_submit_faults();
-  check_signature(tx);
-  std::string id = tx.compute_id();
-  pools_[shard_for_sender(tx.sender)]->submit(std::move(tx));
+  std::string id = admit(tx);
+  pools_[shard_for_sender(tx.sender)]->submit(PooledTx{std::move(tx), id});
   return id;
 }
 
@@ -174,22 +172,22 @@ std::string Blockchain::submit_via(std::uint32_t endpoint, std::uint32_t total_e
   return submit(std::move(tx));
 }
 
-void Blockchain::check_signature(const Transaction& tx) const {
-  if (config_.verify_signatures && !tx.verify_signature()) {
+std::string Blockchain::admit(const Transaction& tx) const {
+  if (faults_) {
+    // Scheduler-delay injection: the submitting thread loses its slice for
+    // sched_delay_us before the chain even looks at the transaction.
+    if (faults_->should(fault::FaultKind::kSchedDelay)) {
+      clock_->sleep_for(std::chrono::microseconds(faults_->plan().sched_delay_us));
+    }
+    if (faults_->should(fault::FaultKind::kSubmitReject)) {
+      throw RejectedError("injected transient submit rejection");
+    }
+  }
+  const std::string payload = tx.signing_payload();
+  if (config_.verify_signatures && !crypto::verify(tx.pubkey, payload, tx.signature)) {
     throw RejectedError("invalid transaction signature");
   }
-}
-
-void Blockchain::inject_submit_faults() const {
-  if (!faults_) return;
-  // Scheduler-delay injection: the submitting thread loses its slice for
-  // sched_delay_us before the chain even looks at the transaction.
-  if (faults_->should(fault::FaultKind::kSchedDelay)) {
-    clock_->sleep_for(std::chrono::microseconds(faults_->plan().sched_delay_us));
-  }
-  if (faults_->should(fault::FaultKind::kSubmitReject)) {
-    throw RejectedError("injected transient submit rejection");
-  }
+  return payload_id(payload);
 }
 
 void Blockchain::maybe_stall_block_production() {

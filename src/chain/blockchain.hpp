@@ -146,11 +146,13 @@ class Blockchain {
   // Sleeps the configured serial commit cost for `tx_count` transactions.
   void charge_commit_cost(std::size_t tx_count);
 
-  void check_signature(const Transaction& tx) const;  // throws RejectedError
-
-  // Throws RejectedError when the plan's kSubmitReject fires — a transient
-  // refusal, retryable under RetryPolicy::on_rejected.
-  void inject_submit_faults() const;
+  // Admission, shared by every submit path: runs the submit fault hooks,
+  // builds the signing payload once, verifies the signature over it (when
+  // verify_signatures is on) and returns the id of those same bytes. The id
+  // is always derived here, never taken from the wire. Throws RejectedError
+  // on a bad signature or when the plan's kSubmitReject fires (a transient
+  // refusal, retryable under RetryPolicy::on_rejected).
+  std::string admit(const Transaction& tx) const;
 
   // Sleeps one configured stall when the plan's kBlockStall fires; block
   // producer loops call this right before sealing.

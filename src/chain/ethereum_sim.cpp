@@ -71,14 +71,14 @@ void EthereumSim::mine_loop() {
   util::TimePoint last_sealed = clock_->now();
   while (running_.load()) {
     maybe_stall_block_production();
-    std::vector<Transaction> txs = pools_[0]->drain(config_.max_block_txs);
+    std::vector<PooledTx> txs = pools_[0]->drain(config_.max_block_txs);
 
     Block block;
     block.receipts.reserve(txs.size());
-    for (const Transaction& tx : txs) {
-      auto [rw_set, result] = execute(*states_[0], tx);
+    for (PooledTx& entry : txs) {
+      auto [rw_set, result] = execute(*states_[0], entry.tx);
       TxReceipt receipt;
-      receipt.tx_id = tx.compute_id();
+      receipt.tx_id = std::move(entry.id);
       if (result.ok) {
         states_[0]->apply(rw_set);
         receipt.status = TxStatus::kCommitted;

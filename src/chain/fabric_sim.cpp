@@ -38,14 +38,11 @@ void FabricSim::with_state(const std::function<void(StateStore&)>& fn) { fn(*sta
 
 std::string FabricSim::submit(Transaction tx) {
   if (!running_.load()) throw RejectedError("chain is not running");
-  inject_submit_faults();
-  check_signature(tx);
+  EndorsedTx endorsed;
+  endorsed.tx_id = admit(tx);
   if (faults_ && faults_->should(fault::FaultKind::kEndorseFail)) {
     throw RejectedError("injected endorsement failure: proposal responses do not match");
   }
-
-  EndorsedTx endorsed;
-  endorsed.tx_id = tx.compute_id();
 
   // Endorsement: simulate against committed state, capture the rw-set.
   auto [rw_set, result] = execute(*states_[0], tx);

@@ -86,9 +86,10 @@ void MeepoSim::apply_relays(std::uint32_t shard) {
   }
 }
 
-TxReceipt MeepoSim::execute_sharded(std::uint32_t shard, const Transaction& tx) {
+TxReceipt MeepoSim::execute_sharded(std::uint32_t shard, const Transaction& tx,
+                                    std::string tx_id) {
   TxReceipt receipt;
-  receipt.tx_id = tx.compute_id();
+  receipt.tx_id = std::move(tx_id);
 
   // Cross-shard transfer detection (smallbank payments / token transfers).
   std::string to;
@@ -155,14 +156,16 @@ void MeepoSim::epoch_loop(std::uint32_t shard) {
     // Meepo applies cross-epoch relays at epoch start, before local txs.
     apply_relays(shard);
 
-    std::vector<Transaction> txs = pools_[shard]->drain(config_.max_block_txs);
+    std::vector<PooledTx> txs = pools_[shard]->drain(config_.max_block_txs);
     if (txs.empty()) continue;
     maybe_stall_block_production();
 
     Block block;
     block.header.shard = shard;
     block.receipts.reserve(txs.size());
-    for (const Transaction& tx : txs) block.receipts.push_back(execute_sharded(shard, tx));
+    for (PooledTx& entry : txs) {
+      block.receipts.push_back(execute_sharded(shard, entry.tx, std::move(entry.id)));
+    }
     charge_commit_cost(txs.size());
 
     std::shared_ptr<const Block> parent = ledgers_[shard]->latest();

@@ -45,9 +45,9 @@ class MeepoSim final : public Blockchain {
   };
 
   void epoch_loop(std::uint32_t shard);
-  // Executes one transaction on `shard`; returns the receipt. Cross-shard
-  // transfers debit locally and enqueue a relay credit.
-  TxReceipt execute_sharded(std::uint32_t shard, const Transaction& tx);
+  // Executes one transaction on `shard`; returns the receipt for `tx_id`.
+  // Cross-shard transfers debit locally and enqueue a relay credit.
+  TxReceipt execute_sharded(std::uint32_t shard, const Transaction& tx, std::string tx_id);
   void enqueue_relay(std::uint32_t shard, RelayCredit credit);
   void apply_relays(std::uint32_t shard);
 

@@ -35,23 +35,23 @@ void NeuchainSim::epoch_loop() {
     clock_->sleep_until(next_epoch);
     next_epoch += epoch;
 
-    std::vector<Transaction> txs = pools_[0]->drain(config_.max_block_txs);
+    std::vector<PooledTx> txs = pools_[0]->drain(config_.max_block_txs);
     if (txs.empty()) continue;  // Neuchain seals no empty blocks
     maybe_stall_block_production();
 
     // Deterministic order: every block server sorts the epoch identically.
     std::vector<std::pair<std::string, std::size_t>> order;
     order.reserve(txs.size());
-    for (std::size_t i = 0; i < txs.size(); ++i) order.emplace_back(txs[i].compute_id(), i);
+    for (std::size_t i = 0; i < txs.size(); ++i) order.emplace_back(std::move(txs[i].id), i);
     std::sort(order.begin(), order.end());
 
     Block block;
     block.receipts.reserve(txs.size());
-    for (const auto& [id, index] : order) {
-      const Transaction& tx = txs[index];
+    for (auto& [id, index] : order) {
+      const Transaction& tx = txs[index].tx;
       auto [rw_set, result] = execute(*states_[0], tx);
       TxReceipt receipt;
-      receipt.tx_id = id;
+      receipt.tx_id = std::move(id);
       if (result.ok) {
         states_[0]->apply(rw_set);
         receipt.status = TxStatus::kCommitted;

@@ -6,7 +6,7 @@ namespace hammer::chain {
 
 TxPool::TxPool(std::size_t capacity) : capacity_(capacity) { HAMMER_CHECK(capacity > 0); }
 
-void TxPool::submit(Transaction tx) {
+void TxPool::submit(PooledTx entry) {
   {
     std::scoped_lock lock(mu_);
     if (closed_) throw RejectedError("chain is shutting down");
@@ -14,16 +14,16 @@ void TxPool::submit(Transaction tx) {
       ++total_rejected_;
       throw RejectedError("transaction pool full (" + std::to_string(capacity_) + ")");
     }
-    queue_.push_back(std::move(tx));
+    queue_.push_back(std::move(entry));
     ++total_submitted_;
   }
   cv_.notify_one();
 }
 
-std::vector<Transaction> TxPool::drain(std::size_t max_count) {
+std::vector<PooledTx> TxPool::drain(std::size_t max_count) {
   std::scoped_lock lock(mu_);
   std::size_t n = std::min(max_count, queue_.size());
-  std::vector<Transaction> out;
+  std::vector<PooledTx> out;
   out.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     out.push_back(std::move(queue_.front()));
@@ -32,11 +32,11 @@ std::vector<Transaction> TxPool::drain(std::size_t max_count) {
   return out;
 }
 
-std::vector<Transaction> TxPool::wait_and_drain(std::size_t max_count) {
+std::vector<PooledTx> TxPool::wait_and_drain(std::size_t max_count) {
   std::unique_lock lock(mu_);
   cv_.wait(lock, [&] { return closed_ || !queue_.empty(); });
   std::size_t n = std::min(max_count, queue_.size());
-  std::vector<Transaction> out;
+  std::vector<PooledTx> out;
   out.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     out.push_back(std::move(queue_.front()));

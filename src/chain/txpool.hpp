@@ -13,19 +13,26 @@
 
 namespace hammer::chain {
 
+// A pooled transaction with the id the chain derived at admission, so the
+// block producers never hash the payload again.
+struct PooledTx {
+  Transaction tx;
+  std::string id;
+};
+
 class TxPool {
  public:
   explicit TxPool(std::size_t capacity);
 
   // Throws RejectedError when full.
-  void submit(Transaction tx);
+  void submit(PooledTx entry);
 
-  // Removes and returns up to max_count transactions (FIFO); may be empty.
-  std::vector<Transaction> drain(std::size_t max_count);
+  // Removes and returns up to max_count entries (FIFO); may be empty.
+  std::vector<PooledTx> drain(std::size_t max_count);
 
   // Blocks until at least one transaction is pooled or the pool is closed;
   // then drains like drain(). Used by epoch-driven producers.
-  std::vector<Transaction> wait_and_drain(std::size_t max_count);
+  std::vector<PooledTx> wait_and_drain(std::size_t max_count);
 
   void close();
   std::size_t size() const;
@@ -36,7 +43,7 @@ class TxPool {
  private:
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<Transaction> queue_;
+  std::deque<PooledTx> queue_;
   std::size_t capacity_;
   bool closed_ = false;
   std::uint64_t total_submitted_ = 0;

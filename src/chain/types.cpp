@@ -7,29 +7,45 @@
 namespace hammer::chain {
 
 std::string Transaction::signing_payload() const {
-  // Deterministic: json::Object keys are sorted, so dump() is canonical.
-  json::Object obj;
-  obj["contract"] = contract;
-  obj["op"] = op;
-  obj["args"] = args;
-  obj["sender"] = sender;
-  obj["client_id"] = client_id;
-  obj["server_id"] = server_id;
-  obj["nonce"] = nonce;
-  return json::Value(std::move(obj)).dump();
+  // The keys are written in sorted order, so the bytes equal dump() of the
+  // same fields as a json::Object. The nonce is printed as json::Value
+  // stores it: as an int64.
+  std::string out;
+  out.reserve(192 + contract.size() + op.size() + sender.size() + client_id.size() +
+              server_id.size());
+  out += "{\"args\":";
+  args.dump_into(out);
+  out += ",\"client_id\":";
+  json::write_escaped(out, client_id);
+  out += ",\"contract\":";
+  json::write_escaped(out, contract);
+  out += ",\"nonce\":";
+  out += std::to_string(static_cast<std::int64_t>(nonce));
+  out += ",\"op\":";
+  json::write_escaped(out, op);
+  out += ",\"sender\":";
+  json::write_escaped(out, sender);
+  out += ",\"server_id\":";
+  json::write_escaped(out, server_id);
+  out += '}';
+  return out;
 }
 
-std::string Transaction::compute_id() const {
-  return crypto::digest_hex(crypto::sha256(signing_payload()));
-}
+std::string Transaction::compute_id() const { return payload_id(signing_payload()); }
 
-void Transaction::sign_with(const crypto::KeyPair& keys) {
+std::string Transaction::sign_with(const crypto::KeyPair& keys) {
   pubkey = keys.pub;
-  signature = crypto::sign(keys.priv, signing_payload());
+  const std::string payload = signing_payload();
+  signature = crypto::sign(keys.priv, payload);
+  return payload_id(payload);
 }
 
 bool Transaction::verify_signature() const {
   return crypto::verify(pubkey, signing_payload(), signature);
+}
+
+std::string payload_id(std::string_view payload) {
+  return crypto::digest_hex(crypto::sha256(payload));
 }
 
 json::Value Transaction::to_json() const {

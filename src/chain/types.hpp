@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "crypto/schnorr.hpp"
@@ -13,8 +14,9 @@
 namespace hammer::chain {
 
 // A signed smart-contract invocation. The id is the hex SHA-256 of the
-// canonical payload, so every component (client, server, SUT) derives the
-// same id independently.
+// canonical payload. Each process derives it once, from the payload it
+// signed (the client) or verified (the SUT), and carries it beside the
+// transaction from then on; both sides land on the same id.
 struct Transaction {
   std::string contract;   // target contract, e.g. "smallbank"
   std::string op;         // operation, e.g. "send_payment"
@@ -27,16 +29,21 @@ struct Transaction {
   crypto::PublicKey pubkey;
   crypto::Signature signature;
 
-  // Canonical byte string covered by the signature and hashed into the id.
+  // Canonical byte string covered by the signature and hashed into the id:
+  // the payload fields as compact JSON with sorted keys.
   std::string signing_payload() const;
-  std::string compute_id() const;
+  std::string compute_id() const;  // payload_id(signing_payload())
 
-  void sign_with(const crypto::KeyPair& keys);
+  // Signs the payload and returns the id of the same bytes.
+  std::string sign_with(const crypto::KeyPair& keys);
   bool verify_signature() const;
 
   json::Value to_json() const;
   static Transaction from_json(const json::Value& v);
 };
+
+// Hex SHA-256 of a signing payload: the transaction id.
+std::string payload_id(std::string_view payload);
 
 enum class TxStatus : std::uint8_t { kCommitted, kConflict, kInvalid };
 

@@ -180,8 +180,10 @@ void HammerDriver::worker_loop(SutTarget& target, std::size_t slot, SendQueue& q
 
   while (auto first = queue.pop()) {
     batch.clear();
+    ids.clear();
     ordinals.clear();
     batch.push_back(std::move(first->tx));
+    ids.push_back(std::move(first->id));
     ordinals.push_back(first->ordinal);
     // Coalesce whatever is already signed and waiting, up to the configured
     // batch size — one JSON-RPC batch frame instead of N round trips.
@@ -189,6 +191,7 @@ void HammerDriver::worker_loop(SutTarget& target, std::size_t slot, SendQueue& q
       auto more = queue.try_pop();
       if (!more) break;
       batch.push_back(std::move(more->tx));
+      ids.push_back(std::move(more->id));
       ordinals.push_back(more->ordinal);
     }
     if (rate) {
@@ -207,8 +210,6 @@ void HammerDriver::worker_loop(SutTarget& target, std::size_t slot, SendQueue& q
     load_->acquire(batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) charge_client_cpu();
 
-    ids.clear();
-    for (const chain::Transaction& tx : batch) ids.push_back(tx.compute_id());
     // One trace per batch frame: if any member is sampled, the whole frame
     // carries a fresh trace id and every sampled member stitches under it.
     telemetry::TraceContext trace_ctx;
@@ -376,23 +377,26 @@ RunResult HammerDriver::run(const workload::WorkloadFile& workload,
   // front, so the feeder only routes and each tx's sign stage collapses to
   // nothing; the queue/submit/include/detect stages stay real.
   std::vector<chain::Transaction> presigned;
+  std::vector<std::string> presigned_ids;
   if (!options_.pipelined_signing) {
     presigned = workload.transactions;
     for (chain::Transaction& tx : presigned) tx.server_id = options_.server_id;
-    sign_serial(presigned, *keys_);
+    presigned_ids = sign_serial(presigned, *keys_);
   }
-  std::thread feeder([this, &queues, &close_all, &policy, &workload, &presigned] {
+  std::thread feeder([this, &queues, &close_all, &policy, &workload, &presigned,
+                      &presigned_ids] {
     DriverMetrics& metrics = DriverMetrics::get();
     for (std::uint64_t ordinal = 0; ordinal < workload.transactions.size(); ++ordinal) {
       const bool pipelined = options_.pipelined_signing;
       chain::Transaction tx = pipelined ? chain::Transaction(workload.transactions[ordinal])
                                         : std::move(presigned[ordinal]);
+      std::string id = pipelined ? std::string() : std::move(presigned_ids[ordinal]);
       std::int64_t sign_begin_us = clock_->now_us();
       if (pipelined) {
         // The sending server stamps its id before signing (Alg. 1 line 3's
         // s_id is part of the signed payload).
         tx.server_id = options_.server_id;
-        tx.sign_with(keys_->get(tx.sender));
+        id = tx.sign_with(keys_->get(tx.sender));
       }
       std::int64_t signed_us = clock_->now_us();
       if (pipelined) metrics.sign_us.record(signed_us - sign_begin_us);
@@ -406,7 +410,7 @@ RunResult HammerDriver::run(const workload::WorkloadFile& workload,
       // happens against an empty-looking cluster.
       const std::size_t t = policy->route(tx, *cluster_);
       cluster_->target(t).add_in_flight(1);
-      if (!queues[t]->push(SendQueueItem{std::move(tx), ordinal})) {
+      if (!queues[t]->push(SendQueueItem{std::move(tx), std::move(id), ordinal})) {
         cluster_->target(t).sub_in_flight(1);
         return;
       }

@@ -158,6 +158,7 @@ class HammerDriver {
  private:
   struct SendQueueItem {
     chain::Transaction tx;
+    std::string id;             // derived from the payload the feeder signed
     std::uint64_t ordinal = 0;  // position in the workload, for tracing
   };
   using SendQueue = util::MpmcQueue<SendQueueItem>;

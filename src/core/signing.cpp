@@ -17,8 +17,11 @@ void KeyCache::warm(const std::vector<std::string>& senders) {
   for (const std::string& sender : senders) get(sender);
 }
 
-void sign_serial(std::vector<chain::Transaction>& txs, KeyCache& keys) {
-  for (chain::Transaction& tx : txs) tx.sign_with(keys.get(tx.sender));
+std::vector<std::string> sign_serial(std::vector<chain::Transaction>& txs, KeyCache& keys) {
+  std::vector<std::string> ids;
+  ids.reserve(txs.size());
+  for (chain::Transaction& tx : txs) ids.push_back(tx.sign_with(keys.get(tx.sender)));
+  return ids;
 }
 
 AsyncSigner::AsyncSigner(std::size_t threads, std::shared_ptr<KeyCache> keys)

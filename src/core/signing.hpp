@@ -41,8 +41,9 @@ class KeyCache {
   std::unordered_map<std::string, crypto::KeyPair> keys_;
 };
 
-// Signs in place, one after another, on the calling thread.
-void sign_serial(std::vector<chain::Transaction>& txs, KeyCache& keys);
+// Signs in place, one after another, on the calling thread; returns each
+// transaction's id, derived from the payload it signed.
+std::vector<std::string> sign_serial(std::vector<chain::Transaction>& txs, KeyCache& keys);
 
 class AsyncSigner {
  public:

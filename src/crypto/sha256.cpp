@@ -106,14 +106,19 @@ Sha256& Sha256::update(std::string_view data) {
 
 Digest Sha256::finish() {
   HAMMER_CHECK_MSG(!finished_, "Sha256 reused after finish()");
-  std::uint64_t bit_len = total_len_ * 8;
-  std::uint8_t pad = 0x80;
-  update(std::span<const std::uint8_t>(&pad, 1));
-  std::uint8_t zero = 0x00;
-  while (buffer_len_ != 56) update(std::span<const std::uint8_t>(&zero, 1));
-  std::uint8_t len_bytes[8];
-  for (int i = 0; i < 8; ++i) len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-  update(std::span<const std::uint8_t>(len_bytes, 8));
+  const std::uint64_t bit_len = total_len_ * 8;
+  // Pad in place: 0x80, zeros up to byte 56 of the last block (spilling
+  // into one more block when fewer than 9 bytes are free), then the
+  // big-endian bit length.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_.data() + buffer_len_, 0, buffer_.size() - buffer_len_);
+    process_block(buffer_.data());
+    buffer_len_ = 0;
+  }
+  std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
+  for (int i = 0; i < 8; ++i) buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  process_block(buffer_.data());
   finished_ = true;
 
   Digest out;

@@ -107,8 +107,7 @@ bool Value::get_bool(const std::string& key, bool fallback) const {
 
 // ---------------------------------------------------------------- writing
 
-namespace {
-void write_escaped(std::string& out, const std::string& s) {
+void write_escaped(std::string& out, std::string_view s) {
   out.push_back('"');
   for (char c : s) {
     switch (c) {
@@ -132,6 +131,7 @@ void write_escaped(std::string& out, const std::string& s) {
   out.push_back('"');
 }
 
+namespace {
 void newline_indent(std::string& out, int indent, int depth) {
   if (indent <= 0) return;
   out.push_back('\n');

@@ -92,6 +92,10 @@ class Value {
   std::variant<std::nullptr_t, bool, std::int64_t, double, std::string, Array, Object> data_;
 };
 
+// Appends `s` as a quoted, escaped JSON string — the writer dump() uses
+// for every string and key.
+void write_escaped(std::string& out, std::string_view s);
+
 // Convenience builders: json::object({{"a", 1}}), json::array({1, 2}).
 Value object(std::initializer_list<std::pair<std::string, Value>> items);
 Value array(std::initializer_list<Value> items);

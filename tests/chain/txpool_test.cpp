@@ -9,14 +9,14 @@
 namespace hammer::chain {
 namespace {
 
-Transaction make_tx(int i) {
+PooledTx make_tx(int i) {
   Transaction tx;
   tx.contract = "kv";
   tx.op = "put";
   tx.args = json::object({{"key", "k" + std::to_string(i)}, {"value", "v"}});
   tx.sender = "s";
   tx.nonce = static_cast<std::uint64_t>(i);
-  return tx;
+  return PooledTx{std::move(tx), "id-" + std::to_string(i)};
 }
 
 TEST(TxPoolTest, SubmitAndDrainFifo) {
@@ -27,8 +27,10 @@ TEST(TxPoolTest, SubmitAndDrainFifo) {
   EXPECT_EQ(pool.size(), 3u);
   auto batch = pool.drain(2);
   ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch[0].nonce, 1u);
-  EXPECT_EQ(batch[1].nonce, 2u);
+  EXPECT_EQ(batch[0].tx.nonce, 1u);
+  EXPECT_EQ(batch[0].id, "id-1");
+  EXPECT_EQ(batch[1].tx.nonce, 2u);
+  EXPECT_EQ(batch[1].id, "id-2");
   EXPECT_EQ(pool.size(), 1u);
 }
 
@@ -62,7 +64,8 @@ TEST(TxPoolTest, WaitAndDrainBlocksUntilSubmit) {
   });
   auto batch = pool.wait_and_drain(10);
   ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch[0].nonce, 9u);
+  EXPECT_EQ(batch[0].tx.nonce, 9u);
+  EXPECT_EQ(batch[0].id, "id-9");
   producer.join();
 }
 

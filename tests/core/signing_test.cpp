@@ -36,8 +36,12 @@ TEST(KeyCacheTest, WarmPrepopulates) {
 TEST(SignSerialTest, AllSignaturesValid) {
   auto txs = make_txs(50);
   KeyCache keys;
-  sign_serial(txs, keys);
-  for (const auto& tx : txs) EXPECT_TRUE(tx.verify_signature());
+  const std::vector<std::string> ids = sign_serial(txs, keys);
+  ASSERT_EQ(ids.size(), txs.size());
+  for (std::size_t i = 0; i < txs.size(); ++i) {
+    EXPECT_TRUE(txs[i].verify_signature());
+    EXPECT_EQ(ids[i], txs[i].compute_id());
+  }
 }
 
 TEST(AsyncSignerTest, MatchesSerialResults) {

@@ -44,12 +44,27 @@ TEST(Sha256Test, IncrementalMatchesOneShot) {
 }
 
 TEST(Sha256Test, ExactBlockBoundaryLengths) {
-  for (std::size_t len : {55u, 56u, 57u, 63u, 64u, 65u, 119u, 128u}) {
+  // Lengths around the padding edges: 55 bytes is the longest message whose
+  // padding fits its last block, 56..63 spill into one more block. Digests
+  // of `len` 'x' bytes from an independent implementation (Python hashlib).
+  const std::pair<std::size_t, const char*> vectors[] = {
+      {55, "d5e285683cd4efc02d021a5c62014694958901005d6f71e89e0989fac77e4072"},
+      {56, "04c26261370ee7541549d16dee320c723e3fd14671e66a099afe0a377c16888e"},
+      {57, "ae14a2563ccf969d99aca69ce6bb74981f734bbf9f655f73b8f06db68cab5217"},
+      {63, "75220b47218278e656f2013bb8f0c455a25eaf01e86c64924e9d48d89776d6f2"},
+      {64, "7ce100971f64e7001e8fe5a51973ecdfe1ced42befe7ee8d5fd6219506b5393c"},
+      {65, "9537c5fdf120482f7d58d25e9ed583f52c02b4e304ea814db1633ad565aed7e9"},
+      {119, "000b48d4edf0fa7bee3c6236ecd2785baa5db4eeb8bb54341b029e0d9fa5fb0c"},
+      {120, "13f05a0b594787f5ecd315edc96141bd3243203d1b7d4f0836f37308b276ba98"},
+      {128, "24da1b81d0b16df6428eee73c69fcb2a93c76bc6df706f0c6670fe6bfe800464"},
+  };
+  for (const auto& [len, hex] : vectors) {
     std::string input(len, 'x');
-    // Consistency between streaming and one-shot is the invariant.
+    EXPECT_EQ(digest_hex(sha256(input)), hex) << "len=" << len;
+    // Byte-at-a-time streaming ends on every buffer fill level.
     Sha256 h;
-    h.update(input);
-    EXPECT_EQ(h.finish(), sha256(input)) << "len=" << len;
+    for (char c : input) h.update(std::string_view(&c, 1));
+    EXPECT_EQ(digest_hex(h.finish()), hex) << "len=" << len;
   }
 }
 
