@@ -120,7 +120,6 @@ int main() {
 
       core::DriverOptions options;
       options.worker_threads = 2;
-      options.load_seed = profile.seed;
       core::HammerDriver driver(core::SutCluster::single(sut.make_adapters(options.worker_threads),
                                                          sut.make_adapters(1)[0]),
                                 util::SteadyClock::shared(), options);

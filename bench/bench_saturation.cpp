@@ -109,7 +109,6 @@ int main() {
         // prefix released at t0 would read as ~27% over target on the
         // shortest probes and trip the sustain criterion spuriously.
         driver_options.rate_burst = 8.0;
-        driver_options.load_seed = seed;
         core::HammerDriver driver(
             core::SutCluster::single(sut.make_adapters(driver_options.worker_threads),
                                      sut.make_adapters(1)[0]),

@@ -4,12 +4,16 @@
 #
 #   release  ci/check_docs.py (README drift), then
 #            RelWithDebInfo, -Werror, unit + smoke under -j, then the
-#            bench-smoke tier in its own ctest invocation (RUN_SERIAL
-#            benches can't interleave with a parallel unit wave, and the
-#            tier gets --timeout headroom for the saturation/fleet/grid
-#            runs), then the bench-regression check against
-#            ci/bench_baseline.json: one-sided `min` floors are FATAL,
-#            ±tolerance drift on noisy means is reported but non-fatal.
+#            contention gate: beside three busy loops, smoke.fault_storm
+#            runs 20 times and the other seeded smokes (fleet_2workers,
+#            cluster_scaleout, saturation, tune) 3 times each, and any
+#            failure fails the job ("same seed, same result" must hold on
+#            a loaded box too). Then the bench-smoke tier in its own
+#            ctest invocation (RUN_SERIAL benches can't interleave with a
+#            parallel unit wave, and the tier gets --timeout headroom for
+#            the saturation/fleet/grid runs), then the bench-regression
+#            check against ci/bench_baseline.json: one-sided `min` floors
+#            are FATAL, ±tolerance drift on noisy means is reported but non-fatal.
 #            Last, the benchmark (hammerbench/, its own CMake project over
 #            src/) is built and its unit tests run, so a src/ API change
 #            that breaks it fails here rather than at the next benchmark run;
@@ -55,12 +59,36 @@ configure_and_build() {
   cmake --build "$dir" -j "$JOBS"
 }
 
+# Reruns the seeded determinism smokes of build dir $1 while three busy
+# loops compete for the CPU.
+run_contention_gate() {
+  local dir="$1" rc=0 pids=()
+  banner "release: seeded smokes beside three busy loops"
+  for _ in 1 2 3; do
+    ( while :; do :; done ) &
+    pids+=("$!")
+  done
+  ctest --test-dir "$dir" --output-on-failure --repeat until-fail:20 \
+    -R '^smoke\.fault_storm$' || rc=1
+  if [ "$rc" -eq 0 ]; then
+    ctest --test-dir "$dir" --output-on-failure --repeat until-fail:3 \
+      -R '^smoke\.(fleet_2workers|cluster_scaleout|saturation|tune)$' || rc=1
+  fi
+  kill "${pids[@]}" 2>/dev/null || true
+  wait "${pids[@]}" 2>/dev/null || true
+  if [ "$rc" -ne 0 ]; then
+    echo "FATAL: a seeded smoke failed under CPU contention" >&2
+    exit 1
+  fi
+}
+
 run_release() {
   banner "release: README names every bench binary and smoke test"
   python3 ci/check_docs.py
   configure_and_build build-ci-release -DCMAKE_BUILD_TYPE=RelWithDebInfo
   banner "release: ctest unit + smoke"
   ctest --test-dir build-ci-release --output-on-failure -j "$JOBS" -L '^unit$|^smoke$'
+  run_contention_gate build-ci-release
   banner "release: ctest bench-smoke tier (--timeout ${BENCH_TIMEOUT}s, RUN_SERIAL respected)"
   ctest --test-dir build-ci-release --output-on-failure -j "$JOBS" -L '^bench-smoke$' \
     --timeout "$BENCH_TIMEOUT"

@@ -190,7 +190,6 @@ int main(int argc, char** argv) {
       // Small burst: a big instant prefix would inflate the offered-rate
       // window on these short probes.
       probe_options.rate_burst = 8.0;
-      probe_options.load_seed = seed;
       core::HammerDriver probe_driver(
           core::SutCluster::single(sut.make_adapters(2), sut.make_adapters(1)[0]),
           util::SteadyClock::shared(), probe_options);

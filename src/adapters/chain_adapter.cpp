@@ -12,7 +12,7 @@ ChainAdapter::ChainAdapter(std::shared_ptr<rpc::Channel> channel,
                            const rpc::ClientConfig& config)
     : channel_(std::move(channel)),
       config_(config),
-      retryer_(config_.retry, config_.retry_seed) {
+      retryer_(config_.retry) {
   HAMMER_CHECK(channel_ != nullptr);
   HAMMER_CHECK(config_.retry.max_attempts >= 1);
   json::Value v = call("chain.info", json::Value());
@@ -21,11 +21,14 @@ ChainAdapter::ChainAdapter(std::shared_ptr<rpc::Channel> channel,
   info_.shards = static_cast<std::uint32_t>(v.get_int("shards", 1));
 }
 
-json::Value ChainAdapter::call(const std::string& method, json::Value params) {
+json::Value ChainAdapter::call(const std::string& method, json::Value params,
+                               std::span<const std::uint64_t> fault_keys) {
+  rpc::CallOptions opts = config_.call;
+  opts.fault_keys = fault_keys;
   return retryer_.run([&]() -> json::Value {
     json::Value attempt_params = params;  // each attempt gets its own copy
     try {
-      return channel_->call(method, std::move(attempt_params), config_.call);
+      return channel_->call(method, std::move(attempt_params), opts);
     } catch (const rpc::RpcError& e) {
       rpc::throw_client_error(e);  // kServerError -> RejectedError, rest rethrows
     }
@@ -53,12 +56,16 @@ std::vector<ChainAdapter::SubmitResult> ChainAdapter::submit_batch(
   std::iota(open.begin(), open.end(), std::size_t{0});
   for (std::uint32_t attempt = 1;; ++attempt) {
     std::vector<rpc::BatchCall> calls;
+    std::vector<std::uint64_t> keys;
     calls.reserve(open.size());
+    keys.reserve(open.size());
     for (std::size_t idx : open) {
       json::Object params;
       params["tx"] = txs[idx].to_json();
       calls.push_back(rpc::BatchCall{"chain.submit", json::Value(std::move(params))});
+      keys.push_back(txs[idx].fault_key());
     }
+    call_opts.fault_keys = keys;
     std::vector<rpc::BatchReply> replies;
     try {
       replies = channel_->call_batch(calls, call_opts);
@@ -71,7 +78,7 @@ std::vector<ChainAdapter::SubmitResult> ChainAdapter::submit_batch(
       // Idempotent-resubmission rule: entries already on chain were
       // accepted by the failed attempt; report them ok instead of
       // submitting them twice.
-      open = reconcile_in_doubt(txs, open, out);
+      open = reconcile_in_doubt(txs, open, keys, out);
       if (open.empty()) return out;
       continue;
     }
@@ -106,7 +113,7 @@ std::vector<ChainAdapter::SubmitResult> ChainAdapter::submit_batch(
 
 std::vector<std::size_t> ChainAdapter::reconcile_in_doubt(
     const std::vector<chain::Transaction>& txs, const std::vector<std::size_t>& open,
-    std::vector<SubmitResult>& out) {
+    std::span<const std::uint64_t> keys, std::vector<SubmitResult>& out) {
   // Ids are computed here, on the in-doubt path only: an accepted send
   // learns each id from the SUT's reply.
   std::vector<std::string> poll;
@@ -114,7 +121,7 @@ std::vector<std::size_t> ChainAdapter::reconcile_in_doubt(
   for (std::size_t idx : open) poll.push_back(txs[idx].compute_id());
   std::vector<std::optional<ReceiptInfo>> found;
   try {
-    found = receipts(poll);  // runs under the same retry policy
+    found = receipts(poll, keys);  // runs under the same retry policy
   } catch (const Error&) {
     // Receipts unreachable too: resend everything. A duplicate of an
     // accepted-but-unsealed entry lands twice in blocks and is counted once
@@ -171,14 +178,15 @@ json::Value ChainAdapter::query(std::uint32_t shard, const std::string& contract
 json::Value ChainAdapter::stats() { return call("chain.stats", json::Value()); }
 
 std::vector<std::optional<ChainAdapter::ReceiptInfo>> ChainAdapter::receipts(
-    const std::vector<std::string>& tx_ids) {
+    const std::vector<std::string>& tx_ids, std::span<const std::uint64_t> fault_keys) {
   std::vector<std::optional<ReceiptInfo>> out(tx_ids.size());
   if (tx_ids.empty()) return out;
   json::Array ids;
   ids.reserve(tx_ids.size());
   for (const std::string& id : tx_ids) ids.push_back(json::Value(id));
   json::Value v =
-      call("chain.receipts", json::object({{"tx_ids", json::Value(std::move(ids))}}));
+      call("chain.receipts", json::object({{"tx_ids", json::Value(std::move(ids))}}),
+           fault_keys);
   const json::Array& entries = v.at("receipts").as_array();
   HAMMER_CHECK(entries.size() == tx_ids.size());
   for (std::size_t i = 0; i < entries.size(); ++i) {

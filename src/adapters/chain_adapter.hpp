@@ -15,7 +15,7 @@
 // DriverOptions::submit_batch_size.
 //
 // Every RPC the adapter issues runs under one rpc::ClientConfig: a per-call
-// deadline (rpc::CallOptions) and a rpc::RetryPolicy with seeded,
+// deadline (rpc::CallOptions) and a rpc::RetryPolicy with jittered,
 // exponentially backed-off retries. The default config is one attempt, so
 // an un-configured adapter behaves exactly like the pre-retry API.
 // Resubmission is idempotency-aware: after an in-doubt failure (transport
@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -128,15 +129,18 @@ class ChainAdapter {
 
   // Polls many transactions with one chain.receipts RPC; the result aligns
   // with `tx_ids` by index (in-doubt submit reconciliation uses it).
+  // `fault_keys` (rpc::CallOptions::fault_keys) are the polled txs' keys.
   // Interactive mode deliberately polls through tx_receipt instead: one RPC
   // per pending transaction, the per-tx cost of Caliper-style listening.
-  std::vector<std::optional<ReceiptInfo>> receipts(const std::vector<std::string>& tx_ids);
+  std::vector<std::optional<ReceiptInfo>> receipts(
+      const std::vector<std::string>& tx_ids, std::span<const std::uint64_t> fault_keys = {});
 
   // Single-transaction convenience wrapper over receipts().
   std::optional<ReceiptInfo> tx_receipt(const std::string& tx_id);
 
  private:
-  json::Value call(const std::string& method, json::Value params);
+  json::Value call(const std::string& method, json::Value params,
+                   std::span<const std::uint64_t> fault_keys = {});
 
   // Drops entries already on chain from `open` (marking them accepted in
   // `out`) after an in-doubt submit failure; returns the indices still to
@@ -144,6 +148,7 @@ class ChainAdapter {
   // absorbed downstream (pool dedup / TaskProcessor duplicate counting).
   std::vector<std::size_t> reconcile_in_doubt(const std::vector<chain::Transaction>& txs,
                                               const std::vector<std::size_t>& open,
+                                              std::span<const std::uint64_t> keys,
                                               std::vector<SubmitResult>& out);
 
   std::shared_ptr<rpc::Channel> channel_;

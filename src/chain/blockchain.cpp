@@ -3,6 +3,7 @@
 #include "telemetry/registry.hpp"
 #include "telemetry/span.hpp"
 #include "util/errors.hpp"
+#include "util/random.hpp"
 
 namespace hammer::chain {
 
@@ -174,12 +175,13 @@ std::string Blockchain::submit_via(std::uint32_t endpoint, std::uint32_t total_e
 
 std::string Blockchain::admit(const Transaction& tx) const {
   if (faults_) {
+    const std::uint64_t key = tx.fault_key();
     // Scheduler-delay injection: the submitting thread loses its slice for
     // sched_delay_us before the chain even looks at the transaction.
-    if (faults_->should(fault::FaultKind::kSchedDelay)) {
+    if (faults_->should(fault::FaultKind::kSchedDelay, key)) {
       clock_->sleep_for(std::chrono::microseconds(faults_->plan().sched_delay_us));
     }
-    if (faults_->should(fault::FaultKind::kSubmitReject)) {
+    if (faults_->should(fault::FaultKind::kSubmitReject, key)) {
       throw RejectedError("injected transient submit rejection");
     }
   }
@@ -190,9 +192,10 @@ std::string Blockchain::admit(const Transaction& tx) const {
   return payload_id(payload);
 }
 
-void Blockchain::maybe_stall_block_production() {
+void Blockchain::maybe_stall_block_production(std::uint32_t shard) {
   if (!faults_ || !running_.load()) return;
-  if (faults_->should(fault::FaultKind::kBlockStall)) {
+  if (faults_->should(fault::FaultKind::kBlockStall,
+                      util::derive_seed(shard, ledgers_[shard]->height()))) {
     clock_->sleep_for(std::chrono::milliseconds(faults_->plan().block_stall_ms));
   }
 }

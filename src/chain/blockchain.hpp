@@ -154,9 +154,10 @@ class Blockchain {
   // refusal, retryable under RetryPolicy::on_rejected).
   std::string admit(const Transaction& tx) const;
 
-  // Sleeps one configured stall when the plan's kBlockStall fires; block
-  // producer loops call this right before sealing.
-  void maybe_stall_block_production();
+  // Sleeps one configured stall when the plan's kBlockStall fires for
+  // (shard, current height); block producer loops call this right before
+  // sealing.
+  void maybe_stall_block_production(std::uint32_t shard);
 
   ChainConfig config_;
   std::shared_ptr<fault::FaultInjector> faults_;  // set before start()

@@ -70,7 +70,7 @@ std::optional<std::uint64_t> EthereumSim::mine(const BlockHeader& header) {
 void EthereumSim::mine_loop() {
   util::TimePoint last_sealed = clock_->now();
   while (running_.load()) {
-    maybe_stall_block_production();
+    maybe_stall_block_production(0);
     std::vector<PooledTx> txs = pools_[0]->drain(config_.max_block_txs);
 
     Block block;

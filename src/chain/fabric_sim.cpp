@@ -40,7 +40,7 @@ std::string FabricSim::submit(Transaction tx) {
   if (!running_.load()) throw RejectedError("chain is not running");
   EndorsedTx endorsed;
   endorsed.tx_id = admit(tx);
-  if (faults_ && faults_->should(fault::FaultKind::kEndorseFail)) {
+  if (faults_ && faults_->should(fault::FaultKind::kEndorseFail, tx.fault_key())) {
     throw RejectedError("injected endorsement failure: proposal responses do not match");
   }
 
@@ -98,7 +98,7 @@ void FabricSim::orderer_loop() {
       clock_->sleep_for(std::chrono::milliseconds(1));
     }
     if (!batch.empty()) {
-      maybe_stall_block_production();
+      maybe_stall_block_production(0);
       seal_block(std::move(batch));
     }
   }

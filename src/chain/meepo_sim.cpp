@@ -158,7 +158,7 @@ void MeepoSim::epoch_loop(std::uint32_t shard) {
 
     std::vector<PooledTx> txs = pools_[shard]->drain(config_.max_block_txs);
     if (txs.empty()) continue;
-    maybe_stall_block_production();
+    maybe_stall_block_production(shard);
 
     Block block;
     block.header.shard = shard;

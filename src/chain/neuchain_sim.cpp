@@ -37,7 +37,7 @@ void NeuchainSim::epoch_loop() {
 
     std::vector<PooledTx> txs = pools_[0]->drain(config_.max_block_txs);
     if (txs.empty()) continue;  // Neuchain seals no empty blocks
-    maybe_stall_block_production();
+    maybe_stall_block_production(0);
 
     // Deterministic order: every block server sorts the epoch identically.
     std::vector<std::pair<std::string, std::size_t>> order;

@@ -3,6 +3,7 @@
 #include "crypto/merkle.hpp"
 #include "util/errors.hpp"
 #include "util/hex.hpp"
+#include "util/random.hpp"
 
 namespace hammer::chain {
 
@@ -32,6 +33,12 @@ std::string Transaction::signing_payload() const {
 }
 
 std::string Transaction::compute_id() const { return payload_id(signing_payload()); }
+
+std::uint64_t Transaction::fault_key() const {
+  // std::hash, like shard_for_sender: client and SUT run the same build.
+  const std::hash<std::string> hash;
+  return util::derive_seed(util::derive_seed(hash(sender), hash(client_id)), nonce);
+}
 
 std::string Transaction::sign_with(const crypto::KeyPair& keys) {
   pubkey = keys.pub;

@@ -33,6 +33,9 @@ struct Transaction {
   // the payload fields as compact JSON with sorted keys.
   std::string signing_payload() const;
   std::string compute_id() const;  // payload_id(signing_payload())
+  // Key of this transaction's fault decisions (fault/fault.hpp): a hash of
+  // signed fields (sender, client_id, nonce) that client and SUT agree on.
+  std::uint64_t fault_key() const;
 
   // Signs the payload and returns the id of the same bytes.
   std::string sign_with(const crypto::KeyPair& keys);

@@ -116,9 +116,8 @@ struct RemoteEndpoint {
 // with shard % endpoints == i (the convention endpoint.info reports), and
 // the shard count comes from the live chain.info of the first endpoint.
 // `client_faults` is installed on the WORKER channels only — the poll
-// channel's send count is timing-dependent, and burning seeded draws on it
-// would destroy the per-worker fault-trace determinism the control plane
-// guarantees.
+// channel's frames carry no transaction, their count is timing-dependent,
+// and faulting them would add counts no seed determines.
 std::shared_ptr<SutCluster> make_remote_cluster(
     const std::vector<RemoteEndpoint>& endpoints, std::size_t workers_per_target,
     std::size_t channels_per_target, const rpc::ClientConfig& config,

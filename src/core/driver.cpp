@@ -80,7 +80,7 @@ std::vector<std::size_t> split_workers(std::size_t total, std::size_t targets) {
 const char* const kKnownDriverOptionKeys[] = {
     "worker_threads", "submit_batch_size", "routing",       "drain_timeout_ms",
     "poll_interval_ms", "task_shards",     "pipelined_signing", "trace_every_n",
-    "channels_per_target", "target_rate",  "rate_burst",    "load_seed"};
+    "channels_per_target", "target_rate",  "rate_burst"};
 
 }  // namespace
 
@@ -121,8 +121,6 @@ DriverOptions driver_options_from_json(const json::Value& v,
     channels = static_cast<std::size_t>(at_least("channels_per_target", 2, 1));
     options.target_rate = v.get_double("target_rate", 0.0);
     options.rate_burst = v.get_double("rate_burst", options.rate_burst);
-    options.load_seed = static_cast<std::uint64_t>(
-        v.get_int("load_seed", static_cast<std::int64_t>(options.load_seed)));
     if (options.target_rate < 0.0) throw ParseError("driver.target_rate must be >= 0");
   }
   if (channels_per_target != nullptr) *channels_per_target = channels;
@@ -140,7 +138,6 @@ HammerDriver::HammerDriver(std::shared_ptr<SutCluster> cluster,
     LoadOptions load_options;
     load_options.rate = options_.target_rate;
     load_options.burst = options_.rate_burst;
-    load_options.seed = options_.load_seed;
     load_ = std::make_shared<LoadController>(load_options, clock_);
   }
   if (options_.client_vcpus > 0) {

@@ -73,9 +73,8 @@ struct DriverOptions {
   // target/offered/achieved rates for both.
   double target_rate = 0.0;
   double rate_burst = 64.0;
-  std::uint64_t load_seed = 1;
   // Externally-owned controller (e.g. a WorkerSession retargeted live via
-  // control.set_rate). Null: the driver builds its own from the three knobs
+  // control.set_rate). Null: the driver builds its own from the two knobs
   // above.
   std::shared_ptr<LoadController> load;
 
@@ -124,7 +123,7 @@ struct DriverOptions {
 // into DriverOptions. Accepted keys: worker_threads, submit_batch_size,
 // routing, drain_timeout_ms, poll_interval_ms, task_shards,
 // pipelined_signing, trace_every_n, channels_per_target, target_rate,
-// rate_burst, load_seed. Unknown keys, and integer knobs below their floor
+// rate_burst. Unknown keys, and integer knobs below their floor
 // (counts and poll_interval_ms >= 1, the rest >= 0), are rejected by name —
 // the contract Deployment enforces for chain specs, so a tuner or
 // coordinator cannot silently search/push a bad knob. `channels_per_target`

@@ -16,8 +16,6 @@ LoadController::LoadController(LoadOptions options, std::shared_ptr<util::Clock>
     : clock_(std::move(clock)),
       rate_(options.rate > 0.0 ? options.rate : 0.0),
       burst_(std::max(1.0, options.burst)),
-      jitter_(std::clamp(options.jitter, 0.0, 1.0)),
-      rng_(options.seed, 0x6c0ad5c4c3a2d1e0ULL),
       tokens_(std::max(1.0, options.burst)) {
   HAMMER_CHECK(clock_ != nullptr);
   last_refill_ = clock_->now();
@@ -83,14 +81,8 @@ void LoadController::acquire(std::size_t n) {
         released_ += n;
         return;
       }
-      double wait_s = (need - tokens_) / rate_;
-      if (jitter_ > 0.0) {
-        // Deterministic roughening: scale the wait by 1 ± jitter using the
-        // seeded stream (pure function of seed and draw index).
-        wait_s *= 1.0 + jitter_ * (2.0 * rng_.uniform01() - 1.0);
-      }
       wait = std::chrono::duration_cast<util::Duration>(
-          std::chrono::duration<double>(std::max(0.0, wait_s)));
+          std::chrono::duration<double>((need - tokens_) / rate_));
     }
     clock_->sleep_for(std::min(wait, kMaxSleepSlice));
   }

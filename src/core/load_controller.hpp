@@ -21,11 +21,6 @@
 // what actually left the client — under contention (CPU-burn faults, a
 // saturated pipeline) it sags below the target, and that gap is itself a
 // saturation signal (see core::SaturationSearch).
-//
-// Determinism: with jitter = 0 (default) the controller adds no
-// randomness. A seeded jitter fraction perturbs each computed wait by a
-// deterministic Pcg32 draw — arrival-process roughening that replays
-// exactly from (seed, draw index).
 #pragma once
 
 #include <cstdint>
@@ -33,7 +28,6 @@
 #include <mutex>
 
 #include "util/clock.hpp"
-#include "util/random.hpp"
 
 namespace hammer::core {
 
@@ -43,10 +37,6 @@ struct LoadOptions {
   // Token-bucket capacity: how many sends may leave back-to-back after an
   // idle spell before pacing kicks in.
   double burst = 64.0;
-  // Fraction of each computed wait perturbed by the seeded jitter stream
-  // (0 = fully deterministic pacing).
-  double jitter = 0.0;
-  std::uint64_t seed = 1;
 };
 
 class LoadController {
@@ -86,8 +76,6 @@ class LoadController {
   mutable std::mutex mu_;
   double rate_;
   double burst_;
-  double jitter_;
-  util::Pcg32 rng_;
   double tokens_;
   util::TimePoint last_refill_;
   std::uint64_t released_ = 0;

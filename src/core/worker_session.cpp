@@ -174,7 +174,6 @@ json::Value WorkerSession::handle_deploy(const json::Value& params) {
   LoadOptions load_options;
   load_options.rate = options.target_rate;
   load_options.burst = options.rate_burst;
-  load_options.seed = options.load_seed;
   auto load = std::make_shared<LoadController>(load_options, util::SteadyClock::shared());
   options.load = load;
 

@@ -1,45 +1,48 @@
 #include "fault/fault.hpp"
 
+#include <utility>
+
 #include "telemetry/registry.hpp"
 #include "util/errors.hpp"
+#include "util/random.hpp"
 
 namespace hammer::fault {
 
+namespace {
+
+// One row per FaultKind, in enum order: its name (also the prefix of its
+// "<name>_p" JSON key) and its probability field.
+struct KindRow {
+  const char* name;
+  double FaultPlan::*p;
+};
+constexpr KindRow kKinds[kFaultKindCount] = {
+    {"conn_reset", &FaultPlan::conn_reset_p},       {"client_latency", &FaultPlan::client_latency_p},
+    {"drop_response", &FaultPlan::drop_response_p}, {"slow_loris", &FaultPlan::slow_loris_p},
+    {"submit_reject", &FaultPlan::submit_reject_p}, {"endorse_fail", &FaultPlan::endorse_fail_p},
+    {"block_stall", &FaultPlan::block_stall_p},     {"sched_delay", &FaultPlan::sched_delay_p}};
+
+constexpr std::pair<const char*, std::int64_t FaultPlan::*> kMagnitudes[] = {
+    {"client_latency_us", &FaultPlan::client_latency_us},
+    {"slow_loris_us", &FaultPlan::slow_loris_us},
+    {"block_stall_ms", &FaultPlan::block_stall_ms},
+    {"sched_delay_us", &FaultPlan::sched_delay_us}};
+
+}  // namespace
+
 const char* to_string(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kConnReset: return "conn_reset";
-    case FaultKind::kClientLatency: return "client_latency";
-    case FaultKind::kDropResponse: return "drop_response";
-    case FaultKind::kSlowLoris: return "slow_loris";
-    case FaultKind::kSubmitReject: return "submit_reject";
-    case FaultKind::kEndorseFail: return "endorse_fail";
-    case FaultKind::kBlockStall: return "block_stall";
-    case FaultKind::kSchedDelay: return "sched_delay";
-    case FaultKind::kCount: break;
-  }
-  return "unknown";
+  return kind < FaultKind::kCount ? kKinds[static_cast<std::size_t>(kind)].name : "unknown";
 }
 
 bool FaultPlan::enabled() const {
-  for (std::size_t k = 0; k < kFaultKindCount; ++k) {
-    if (probability(static_cast<FaultKind>(k)) > 0.0) return true;
+  for (const KindRow& row : kKinds) {
+    if (this->*row.p > 0.0) return true;
   }
   return false;
 }
 
 double FaultPlan::probability(FaultKind kind) const {
-  switch (kind) {
-    case FaultKind::kConnReset: return conn_reset_p;
-    case FaultKind::kClientLatency: return client_latency_p;
-    case FaultKind::kDropResponse: return drop_response_p;
-    case FaultKind::kSlowLoris: return slow_loris_p;
-    case FaultKind::kSubmitReject: return submit_reject_p;
-    case FaultKind::kEndorseFail: return endorse_fail_p;
-    case FaultKind::kBlockStall: return block_stall_p;
-    case FaultKind::kSchedDelay: return sched_delay_p;
-    case FaultKind::kCount: break;
-  }
-  return 0.0;
+  return kind < FaultKind::kCount ? this->*kKinds[static_cast<std::size_t>(kind)].p : 0.0;
 }
 
 bool FaultPlan::has_resource_faults() const {
@@ -47,56 +50,42 @@ bool FaultPlan::has_resource_faults() const {
 }
 
 FaultPlan FaultPlan::from_json(const json::Value& v) {
+  // Sizes and magnitudes are range-checked as signed values, before any
+  // cast to an unsigned field turns -1 into 2^32-1 burner threads.
+  auto non_negative = [&v](const std::string& key, std::int64_t fallback) {
+    std::int64_t n = v.get_int(key, fallback);
+    if (n < 0) throw ParseError("faults." + key + " must be >= 0");
+    return n;
+  };
   FaultPlan p;
   p.seed = static_cast<std::uint64_t>(v.get_int("seed", static_cast<std::int64_t>(p.seed)));
-  p.conn_reset_p = v.get_double("conn_reset_p", p.conn_reset_p);
-  p.client_latency_p = v.get_double("client_latency_p", p.client_latency_p);
-  p.client_latency_us = v.get_int("client_latency_us", p.client_latency_us);
-  p.drop_response_p = v.get_double("drop_response_p", p.drop_response_p);
-  p.slow_loris_p = v.get_double("slow_loris_p", p.slow_loris_p);
-  p.slow_loris_us = v.get_int("slow_loris_us", p.slow_loris_us);
-  p.submit_reject_p = v.get_double("submit_reject_p", p.submit_reject_p);
-  p.endorse_fail_p = v.get_double("endorse_fail_p", p.endorse_fail_p);
-  p.block_stall_p = v.get_double("block_stall_p", p.block_stall_p);
-  p.block_stall_ms = v.get_int("block_stall_ms", p.block_stall_ms);
-  p.sched_delay_p = v.get_double("sched_delay_p", p.sched_delay_p);
-  p.sched_delay_us = v.get_int("sched_delay_us", p.sched_delay_us);
+  for (const KindRow& row : kKinds) {
+    p.*row.p = v.get_double(std::string(row.name) + "_p", p.*row.p);
+    if (p.*row.p < 0.0 || p.*row.p > 1.0) {
+      throw ParseError(std::string("fault probability out of [0,1] for ") + row.name);
+    }
+  }
+  for (const auto& [key, field] : kMagnitudes) p.*field = non_negative(key, p.*field);
   p.cpu_burn_threads =
-      static_cast<std::uint32_t>(v.get_int("cpu_burn_threads", p.cpu_burn_threads));
+      static_cast<std::uint32_t>(non_negative("cpu_burn_threads", p.cpu_burn_threads));
   p.cpu_burn_duty = v.get_double("cpu_burn_duty", p.cpu_burn_duty);
   p.mem_ballast_mb = static_cast<std::uint64_t>(
-      v.get_int("mem_ballast_mb", static_cast<std::int64_t>(p.mem_ballast_mb)));
+      non_negative("mem_ballast_mb", static_cast<std::int64_t>(p.mem_ballast_mb)));
   p.ingress_rps = v.get_double("ingress_rps", p.ingress_rps);
   p.ingress_burst = v.get_double("ingress_burst", p.ingress_burst);
   if (p.cpu_burn_duty < 0.0 || p.cpu_burn_duty > 1.0) {
     throw ParseError("cpu_burn_duty out of [0,1]");
   }
   if (p.ingress_rps < 0.0) throw ParseError("ingress_rps must be >= 0");
-  for (std::size_t k = 0; k < kFaultKindCount; ++k) {
-    double prob = p.probability(static_cast<FaultKind>(k));
-    if (prob < 0.0 || prob > 1.0) {
-      throw ParseError(std::string("fault probability out of [0,1] for ") +
-                       to_string(static_cast<FaultKind>(k)));
-    }
-  }
+  if (p.ingress_burst <= 0.0) throw ParseError("ingress_burst must be > 0");
   return p;
 }
 
 json::Value FaultPlan::to_json() const {
   json::Object obj;
   obj["seed"] = seed;
-  obj["conn_reset_p"] = conn_reset_p;
-  obj["client_latency_p"] = client_latency_p;
-  obj["client_latency_us"] = client_latency_us;
-  obj["drop_response_p"] = drop_response_p;
-  obj["slow_loris_p"] = slow_loris_p;
-  obj["slow_loris_us"] = slow_loris_us;
-  obj["submit_reject_p"] = submit_reject_p;
-  obj["endorse_fail_p"] = endorse_fail_p;
-  obj["block_stall_p"] = block_stall_p;
-  obj["block_stall_ms"] = block_stall_ms;
-  obj["sched_delay_p"] = sched_delay_p;
-  obj["sched_delay_us"] = sched_delay_us;
+  for (const KindRow& row : kKinds) obj[std::string(row.name) + "_p"] = this->*row.p;
+  for (const auto& [key, field] : kMagnitudes) obj[key] = this->*field;
   obj["cpu_burn_threads"] = static_cast<std::int64_t>(cpu_burn_threads);
   obj["cpu_burn_duty"] = cpu_burn_duty;
   obj["mem_ballast_mb"] = static_cast<std::int64_t>(mem_ballast_mb);
@@ -115,44 +104,38 @@ FaultInjector::FaultInjector(FaultPlan plan) : plan_(plan) {
   telemetry::MetricRegistry& reg = telemetry::MetricRegistry::global();
   for (std::size_t k = 0; k < kFaultKindCount; ++k) {
     auto kind = static_cast<FaultKind>(k);
-    // Distinct stream per kind so one site's draw count never perturbs
-    // another's sequence.
-    sites_[k].rng = util::Pcg32(plan_.seed, 0x9e3779b97f4a7c15ULL + k);
     sites_[k].p = plan_.probability(kind);
     sites_[k].counter = &reg.counter("hammer_fault_injected_total", "Faults injected by kind",
                                      "kind=\"" + std::string(to_string(kind)) + "\"");
   }
 }
 
-bool FaultInjector::should(FaultKind kind) {
+bool FaultInjector::should(FaultKind kind, std::uint64_t key) {
   Site& site = sites_[static_cast<std::size_t>(kind)];
-  if (site.p <= 0.0) return false;  // disabled kinds consume no randomness
-  bool fire;
+  if (site.p <= 0.0) return false;  // disabled kinds never hash
+  if (util::unit(plan_.seed, static_cast<std::uint64_t>(kind), key) >= site.p) return false;
   {
-    std::scoped_lock lock(site.mu);
-    fire = site.rng.chance(site.p);
+    std::scoped_lock lock(fired_mu_);
+    if (!site.fired.insert(key).second) return false;  // fires at most once per key
   }
-  site.drawn.fetch_add(1, std::memory_order_relaxed);
-  if (fire) {
-    site.injected.fetch_add(1, std::memory_order_relaxed);
-    site.counter->add(1);
-  }
-  return fire;
+  site.counter->add(1);
+  return true;
 }
 
-std::uint64_t FaultInjector::drawn(FaultKind kind) const {
-  return sites_[static_cast<std::size_t>(kind)].drawn.load(std::memory_order_relaxed);
+bool FaultInjector::any(FaultKind kind, std::span<const std::uint64_t> keys) {
+  bool fired = false;
+  for (std::uint64_t key : keys) fired |= should(kind, key);
+  return fired;
 }
 
 std::uint64_t FaultInjector::injected(FaultKind kind) const {
-  return sites_[static_cast<std::size_t>(kind)].injected.load(std::memory_order_relaxed);
+  std::scoped_lock lock(fired_mu_);
+  return sites_[static_cast<std::size_t>(kind)].fired.size();
 }
 
 std::uint64_t FaultInjector::total_injected() const {
   std::uint64_t total = 0;
-  for (std::size_t k = 0; k < kFaultKindCount; ++k) {
-    total += sites_[k].injected.load(std::memory_order_relaxed);
-  }
+  for (std::size_t k = 0; k < kFaultKindCount; ++k) total += injected(static_cast<FaultKind>(k));
   return total;
 }
 

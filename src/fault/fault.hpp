@@ -6,29 +6,36 @@
 // failures / block-production stalls inside the SUT — each with a
 // probability and (where applicable) a magnitude, plus one seed.
 //
-// A FaultInjector turns the plan into decisions. Every FaultKind draws
-// from its own seeded PCG stream behind its own lock, so the i-th decision
-// of a kind is a pure function of (seed, kind, i) regardless of thread
-// interleaving: a run whose per-site draw ORDER is deterministic (e.g. one
-// worker channel, SUT submit path) replays the exact same fault trace from
-// the same seed. Sites whose draw count depends on wall-clock timing
-// (server request stream, block producer ticks) are still seeded but their
-// traces are only reproducible when the request/tick sequence is.
+// A FaultInjector decides each fault from what it is about, not from when
+// it was asked: `u = util::unit(seed, kind, key)`, and the fault fires when
+// u < p and (kind, key) has not fired before. Sites that act on a
+// transaction key by chain::Transaction::fault_key() (sender, client id,
+// nonce): sched_delay, submit_reject and endorse_fail at SUT admission, and
+// conn_reset and client_latency on the client frames that carry
+// transactions (the adapter's chain.submit and in-doubt chain.receipts).
+// The channel asks every key of a frame and faults the frame when any
+// fired, so the transactions hit are {X : u(seed, kind, X) < p} whatever
+// the frame cut, worker count or CPU load. Sites with no transaction stay
+// timing-driven: block_stall is keyed by (shard, height); drop_response,
+// slow_loris and client frames without transactions by a per-connection
+// frame counter.
 //
-// The injector is passive: installees (TcpChannel, TcpServer, Blockchain)
-// ask `should(kind)` at their injection points and apply the effect
-// themselves. Kinds with probability 0 never draw, so disabled sites cost
-// one branch and consume no randomness.
+// Counts count transactions (keys) hit, not frames faulted. A key fires at
+// most once, so an injector reused across runs that resend the same
+// transactions does not fire on them twice: build one per run to replay.
+// Installees (TcpChannel, TcpServer, Blockchain) ask should()/any() and
+// apply the effect themselves; a kind with p = 0 never hashes, and a draw
+// with u >= p takes no lock.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
+#include <unordered_set>
 
 #include "json/json.hpp"
-#include "util/random.hpp"
 
 namespace hammer::telemetry {
 class Counter;
@@ -69,8 +76,8 @@ struct FaultPlan {
   double sched_delay_p = 0.0;
   std::int64_t sched_delay_us = 2000;
 
-  // Resource faults (ROADMAP item 3): continuous background contention
-  // rather than per-draw decisions, driven by the same seed. Run by
+  // Resource faults: continuous background contention rather than
+  // per-key decisions. Run by
   // fault::ResourceFaults (CPU burn, memory ballast) and
   // fault::IngressThrottle (per-target admission throttling on TcpServer);
   // correlate the effect with the ResourceMonitor stream in RunReport.
@@ -91,8 +98,8 @@ struct FaultPlan {
   // The per-worker flavour of this plan for a distributed fleet: identical
   // probabilities/magnitudes, seed replaced by
   // util::derive_seed(seed, worker_index) — so N workers sharing one master
-  // plan draw from N decorrelated streams, yet every worker's trace is a
-  // pure function of (master seed, worker index).
+  // plan make N decorrelated sets of decisions, yet every worker's trace is
+  // a pure function of (master seed, worker index).
   FaultPlan derived_for_worker(std::uint64_t worker_index) const;
 };
 
@@ -105,13 +112,14 @@ class FaultInjector {
 
   const FaultPlan& plan() const { return plan_; }
 
-  // Draws the next decision for `kind`; true means inject. Counts both the
-  // draw and (when it fires) the injection, and bumps the process-global
-  // hammer_fault_injected_total{kind=...} counter.
-  bool should(FaultKind kind);
+  // Decides `kind` for `key`; true means inject. A firing also bumps the
+  // process-global hammer_fault_injected_total{kind=...} counter.
+  bool should(FaultKind kind, std::uint64_t key);
+  // Decides `kind` for every key of one frame, without short-circuiting;
+  // true when any fired.
+  bool any(FaultKind kind, std::span<const std::uint64_t> keys);
 
-  std::uint64_t drawn(FaultKind kind) const;
-  std::uint64_t injected(FaultKind kind) const;
+  std::uint64_t injected(FaultKind kind) const;  // keys fired
   std::uint64_t total_injected() const;
 
   // {"conn_reset": n, ..., "total": m} — every kind, zeros included, so two
@@ -120,16 +128,14 @@ class FaultInjector {
 
  private:
   struct Site {
-    std::mutex mu;              // serializes rng draws for this kind
-    util::Pcg32 rng;            // stream derived from (plan.seed, kind)
     double p = 0.0;
-    std::atomic<std::uint64_t> drawn{0};
-    std::atomic<std::uint64_t> injected{0};
+    std::unordered_set<std::uint64_t> fired;  // guarded by fired_mu_
     telemetry::Counter* counter = nullptr;
   };
 
   FaultPlan plan_;
   std::array<Site, kFaultKindCount> sites_;
+  mutable std::mutex fired_mu_;
 };
 
 }  // namespace hammer::fault

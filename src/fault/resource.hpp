@@ -1,5 +1,5 @@
 // Resource faults (DESIGN.md §14): continuous background contention driven
-// by the same FaultPlan/seed as the per-draw injection kinds.
+// by the same FaultPlan as the per-key injection kinds.
 //
 // Two mechanisms:
 //   - ResourceFaults: an RAII runner owning cpu_burn spin threads (duty-

@@ -2,7 +2,7 @@
 //
 // Before this existed, configuring a client meant threading three separate
 // ad-hoc pieces through every layer: rpc::CallOptions (per-call deadline),
-// rpc::RetryPolicy + seed, and transport knobs hard-coded at each
+// rpc::RetryPolicy, and transport knobs hard-coded at each
 // TcpChannel construction site. ClientConfig collapses
 // them into one value that flows unchanged through make_adapter,
 // ChannelPool, DeployedChain::make_adapters/make_cluster and the SutCluster
@@ -41,10 +41,8 @@ struct ClientConfig {
   // Blocking-call timeout / connect send timeout of the channel itself.
   std::chrono::milliseconds timeout{5000};
 
-  // Adapter retry policy (default: one attempt, no retry) and the seed of
-  // its jitter stream.
+  // Adapter retry policy (default: one attempt, no retry).
   RetryPolicy retry;
-  std::uint64_t retry_seed = 0xbacc0ffULL;
 
   // Which SutCluster target (endpoint) the adapter built from this config
   // speaks to; the cluster builder stamps it for per-endpoint telemetry.

@@ -22,6 +22,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -153,6 +154,10 @@ struct CallOptions {
   // Transports propagate it only when the peer negotiated the "trace"
   // feature, so old servers never see it.
   telemetry::TraceContext trace;
+
+  // chain::Transaction::fault_key() of each transaction the call carries
+  // (empty: none); a fault-injecting transport decides per key.
+  std::span<const std::uint64_t> fault_keys;
 };
 
 // Client-side transport abstraction. Implementations: InProcChannel (below)

@@ -6,6 +6,7 @@
 #include "rpc/jsonrpc.hpp"
 #include "telemetry/registry.hpp"
 #include "util/errors.hpp"
+#include "util/random.hpp"
 
 namespace hammer::rpc {
 
@@ -59,7 +60,7 @@ bool RetryPolicy::retries(ErrorClass c) const {
 }
 
 std::chrono::microseconds RetryPolicy::backoff(std::uint32_t failed_attempts,
-                                               util::Pcg32& rng) const {
+                                               double draw) const {
   HAMMER_CHECK(failed_attempts >= 1);
   double base_us = static_cast<double>(
       std::chrono::duration_cast<std::chrono::microseconds>(initial_backoff).count());
@@ -69,7 +70,7 @@ std::chrono::microseconds RetryPolicy::backoff(std::uint32_t failed_attempts,
     base_us *= multiplier;
   }
   base_us = std::min(base_us, cap_us);
-  double factor = 1.0 - std::clamp(jitter, 0.0, 1.0) * rng.uniform01();
+  double factor = 1.0 - std::clamp(jitter, 0.0, 1.0) * draw;
   return std::chrono::microseconds(static_cast<std::int64_t>(base_us * factor));
 }
 
@@ -79,16 +80,11 @@ RetryPolicy RetryPolicy::standard(std::uint32_t attempts) {
   return p;
 }
 
-Retryer::Retryer(RetryPolicy policy, std::uint64_t seed) : policy_(policy), rng_(seed) {}
-
 void Retryer::before_retry(std::uint32_t failed_attempts) {
-  retries_.fetch_add(1, std::memory_order_relaxed);
+  const std::uint64_t ordinal = retries_.fetch_add(1, std::memory_order_relaxed);
   retries_counter().add(1);
-  std::chrono::microseconds wait{0};
-  {
-    std::scoped_lock lock(rng_mu_);
-    wait = policy_.backoff(failed_attempts, rng_);
-  }
+  const std::chrono::microseconds wait =
+      policy_.backoff(failed_attempts, util::unit(0x5eed5eedULL, 0, ordinal));
   // Real time, not the injected Clock: backoff is client-side transport
   // behaviour, and the channels it protects already run on real sockets.
   if (wait.count() > 0) std::this_thread::sleep_for(wait);

@@ -7,8 +7,9 @@
 // kProtocol (malformed request/response, unknown method — retrying cannot
 // help). A RetryPolicy says which classes to retry and how long to back
 // off between attempts: exponential growth clamped at max_backoff, scaled
-// by a jitter factor drawn from a seeded PCG stream so schedules are
-// reproducible.
+// by a jitter factor. The Retryer takes the n-th retry's draw as
+// util::unit(constant, 0, n), so a schedule depends only on the retry
+// ordinal and no random stream or lock sits behind it.
 //
 // The default policy is a single attempt — existing call sites keep their
 // exact pre-retry behaviour unless they opt in.
@@ -17,9 +18,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <mutex>
-
-#include "util/random.hpp"
 
 namespace hammer::rpc {
 
@@ -53,21 +51,20 @@ struct RetryPolicy {
   bool retries(ErrorClass c) const;
 
   // Backoff before the next attempt after `failed_attempts` failures
-  // (>= 1). Deterministic given the rng state.
-  std::chrono::microseconds backoff(std::uint32_t failed_attempts, util::Pcg32& rng) const;
+  // (>= 1), jittered by `draw` in [0, 1).
+  std::chrono::microseconds backoff(std::uint32_t failed_attempts, double draw) const;
 
   // A reasonable default for flaky-infrastructure runs.
   static RetryPolicy standard(std::uint32_t attempts = 4);
 };
 
-// Shared retry executor: owns the policy, the jitter stream and the retry
-// counter (also surfaced as hammer_rpc_retries_total). Thread-safe; one
-// Retryer per ChainAdapter.
+// Shared retry executor: owns the policy and the retry counter (also
+// surfaced as hammer_rpc_retries_total), whose ordinal keys each jitter
+// draw. Thread-safe; one Retryer per ChainAdapter.
 class Retryer {
  public:
-  explicit Retryer(RetryPolicy policy, std::uint64_t seed = 0x5eed5eedULL);
+  explicit Retryer(RetryPolicy policy) : policy_(policy) {}
 
-  const RetryPolicy& policy() const { return policy_; }
   std::uint64_t retry_count() const { return retries_.load(std::memory_order_relaxed); }
 
   // Counts one retry and sleeps the jittered backoff for `failed_attempts`
@@ -92,8 +89,6 @@ class Retryer {
 
  private:
   RetryPolicy policy_;
-  std::mutex rng_mu_;
-  util::Pcg32 rng_;
   std::atomic<std::uint64_t> retries_{0};
 };
 

@@ -20,6 +20,7 @@
 #include "util/clock.hpp"
 #include "util/errors.hpp"
 #include "util/logging.hpp"
+#include "util/random.hpp"
 
 namespace hammer::rpc {
 
@@ -397,7 +398,7 @@ void TcpServer::accept_new() {
     set_send_timeout(fd, std::chrono::milliseconds(10000));
     RpcMetrics::get().server_conns_total.add(1);
     RpcMetrics::get().server_conns.add(1);
-    auto conn = std::make_shared<Connection>(fd);
+    auto conn = std::make_shared<Connection>(fd, accepted_++);
     {
       std::scoped_lock lock(connections_mu_);
       connections_.emplace(fd, std::move(conn));
@@ -625,6 +626,29 @@ void TcpServer::worker_loop() {
   }
 }
 
+void TcpServer::send_reply(const Work& work, const wire::Buffer& out) {
+  if (std::shared_ptr<fault::FaultInjector> faults = fault_injector()) {
+    const std::uint64_t key = util::derive_seed(
+        work.conn->ordinal, work.conn->replies.fetch_add(1, std::memory_order_relaxed));
+    // Dropped response: the request DID execute — the client sees a timeout
+    // on an operation the SUT may have applied, the in-doubt case idempotent
+    // resubmission exists for.
+    if (faults->should(fault::FaultKind::kDropResponse, key)) return;
+    if (faults->should(fault::FaultKind::kSlowLoris, key)) {
+      std::this_thread::sleep_for(std::chrono::microseconds(faults->plan().slow_loris_us));
+    }
+  }
+  std::scoped_lock lock(work.conn->write_mu);
+  if (work.conn->dead.load()) return;
+  try {
+    send_frame(work.conn->fd, out);
+    RpcMetrics::get().server_bytes_sent.add(sizeof(std::uint32_t) + out.size());
+  } catch (const TransportError& e) {
+    work.conn->dead.store(true);
+    if (!stopping_.load()) HLOG_DEBUG("tcp") << "response write failed: " << e.what();
+  }
+}
+
 void TcpServer::reply_json(const Work& work) {
   // JSON frames carry any trace context inside params (`_trace`), so
   // whether this frame is traced is only known after parsing; publish the
@@ -636,24 +660,7 @@ void TcpServer::reply_json(const Work& work) {
   wire::BufferPtr out = wire::BufferArena::global().acquire(work.request.size() + 256);
   dispatcher_->dispatch_text_into(work.request.view(), *out);
   telemetry::clear_server_rx();
-  if (std::shared_ptr<fault::FaultInjector> faults = fault_injector()) {
-    // Dropped response: the request DID execute — the client sees a timeout
-    // on an operation the SUT may have applied, the in-doubt case idempotent
-    // resubmission exists for.
-    if (faults->should(fault::FaultKind::kDropResponse)) return;
-    if (faults->should(fault::FaultKind::kSlowLoris)) {
-      std::this_thread::sleep_for(std::chrono::microseconds(faults->plan().slow_loris_us));
-    }
-  }
-  std::scoped_lock lock(work.conn->write_mu);
-  if (work.conn->dead.load()) return;
-  try {
-    send_frame(work.conn->fd, *out);
-    RpcMetrics::get().server_bytes_sent.add(sizeof(std::uint32_t) + out->size());
-  } catch (const TransportError& e) {
-    work.conn->dead.store(true);
-    if (!stopping_.load()) HLOG_DEBUG("tcp") << "response write failed: " << e.what();
-  }
+  send_reply(work, *out);
 }
 
 void TcpServer::reply_binary(const Work& work) {
@@ -692,21 +699,7 @@ void TcpServer::reply_binary(const Work& work) {
     wire::encode_response_entry(*out, entry);
   }
   if (trace_scope) telemetry::clear_server_rx();
-  if (std::shared_ptr<fault::FaultInjector> faults = fault_injector()) {
-    if (faults->should(fault::FaultKind::kDropResponse)) return;
-    if (faults->should(fault::FaultKind::kSlowLoris)) {
-      std::this_thread::sleep_for(std::chrono::microseconds(faults->plan().slow_loris_us));
-    }
-  }
-  std::scoped_lock lock(work.conn->write_mu);
-  if (work.conn->dead.load()) return;
-  try {
-    send_frame(work.conn->fd, *out);
-    RpcMetrics::get().server_bytes_sent.add(sizeof(std::uint32_t) + out->size());
-  } catch (const TransportError& e) {
-    work.conn->dead.store(true);
-    if (!stopping_.load()) HLOG_DEBUG("tcp") << "response write failed: " << e.what();
-  }
+  send_reply(work, *out);
 }
 
 // ---------------------------------------------------------------------------
@@ -741,8 +734,8 @@ void TcpChannel::negotiate(int fd) {
   // Offer binary with one blocking round trip before the reader thread
   // exists, so the reply cannot race with response frames. Deliberately not
   // routed through inject_send_faults: negotiation is connection plumbing,
-  // and burning seeded fault draws on it would make the draw sequence
-  // depend on reconnect count.
+  // and counting it as an unkeyed frame would make the frame keys depend
+  // on reconnect count.
   std::string hello;
   wire::put_header(hello, wire::FrameKind::kHello);
   hello += wire::make_hello_body(steady_now_us());
@@ -819,19 +812,25 @@ void TcpChannel::ensure_connected() {
   HLOG_DEBUG("tcp") << "reconnected to " << host_ << ":" << port_;
 }
 
-void TcpChannel::inject_send_faults() {
+void TcpChannel::inject_send_faults(std::span<const std::uint64_t> keys) {
   if (!faults_) return;
-  if (faults_->should(fault::FaultKind::kClientLatency)) {
+  // Per transaction, so the transactions hit do not depend on the frame cut.
+  std::uint64_t ordinal = 0;
+  if (keys.empty()) {
+    ordinal = unkeyed_frames_.fetch_add(1, std::memory_order_relaxed);
+    keys = std::span<const std::uint64_t>(&ordinal, 1);
+  }
+  if (faults_->any(fault::FaultKind::kClientLatency, keys)) {
     std::this_thread::sleep_for(
         std::chrono::microseconds(faults_->plan().client_latency_us));
   }
-  if (faults_->should(fault::FaultKind::kConnReset)) {
+  if (faults_->any(fault::FaultKind::kConnReset, keys)) {
     // Kill the real socket so the reader observes the break exactly like a
     // peer reset, then fail this call before its frame ever leaves. Mark the
     // channel broken here rather than waiting for the reader to notice EOF:
-    // a retry must always take the reconnect path, never race the reader and
-    // burn a fault draw on a send into the dead socket (that would make the
-    // seeded draw sequence scheduling-dependent).
+    // a retry must always take the reconnect path, never race the reader
+    // into a send on the dead socket (a timing-driven failure no injected
+    // fault explains).
     std::scoped_lock lock(write_mu_);
     ::shutdown(fd_, SHUT_RDWR);
     {
@@ -860,7 +859,8 @@ TcpChannel::~TcpChannel() {
 
 std::future<json::Value> TcpChannel::send_request(const std::string& method, json::Value params,
                                                   std::uint64_t& id_out,
-                                                  const telemetry::TraceContext& trace) {
+                                                  const CallOptions& opts) {
+  const telemetry::TraceContext& trace = opts.trace;
   std::future<json::Value> future;
   {
     std::scoped_lock lock(pending_mu_);
@@ -897,7 +897,7 @@ std::future<json::Value> TcpChannel::send_request(const std::string& method, jso
                              "); the channel remains usable");
   }
   try {
-    inject_send_faults();
+    inject_send_faults(opts.fault_keys);
     std::scoped_lock lock(write_mu_);
     send_frame(fd_, *frame);
   } catch (...) {
@@ -914,7 +914,7 @@ json::Value TcpChannel::call(const std::string& method, json::Value params,
   ensure_connected();
   RpcMetrics::get().calls_single.add(1);
   std::uint64_t id = 0;
-  std::future<json::Value> future = send_request(method, std::move(params), id, opts.trace);
+  std::future<json::Value> future = send_request(method, std::move(params), id, opts);
   if (future.wait_for(effective_deadline(opts)) == std::future_status::timeout) {
     forget(id);  // a late response for this id is silently dropped
     throw TimeoutError("call " + method);
@@ -927,7 +927,7 @@ std::future<json::Value> TcpChannel::call_async(const std::string& method, json:
   ensure_connected();
   RpcMetrics::get().calls_async.add(1);
   std::uint64_t id = 0;
-  return send_request(method, std::move(params), id, opts.trace);
+  return send_request(method, std::move(params), id, opts);
 }
 
 namespace {
@@ -1056,7 +1056,7 @@ std::vector<BatchReply> TcpChannel::call_batch(const std::vector<BatchCall>& cal
                              "); split the batch");
   }
   try {
-    inject_send_faults();
+    inject_send_faults(opts.fault_keys);
     std::scoped_lock lock(write_mu_);
     send_frame(fd_, *frame);
   } catch (...) {

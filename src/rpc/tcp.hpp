@@ -29,6 +29,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -79,10 +80,12 @@ class TcpServer {
 
  private:
   struct Connection {
-    explicit Connection(int fd) : fd(fd) {}
+    Connection(int fd, std::uint64_t ordinal) : fd(fd), ordinal(ordinal) {}
     ~Connection();  // closes fd once the last reference drops
 
     const int fd;
+    const std::uint64_t ordinal;  // accept order; keys this connection's reply faults
+    std::atomic<std::uint64_t> replies{0};  // response frames faults were decided for
     // Read side, event thread only: an arena buffer being filled, and the
     // parse cursor into it. The buffer is retired (tail copied to a fresh
     // one) as soon as a frame is sliced out of it, so outstanding Slices
@@ -114,6 +117,8 @@ class TcpServer {
   void worker_loop();
   void reply_json(const Work& work);
   void reply_binary(const Work& work);
+  // Writes one response frame unless drop_response fires for it.
+  void send_reply(const Work& work, const wire::Buffer& out);
 
   std::shared_ptr<fault::FaultInjector> fault_injector() const;
   std::shared_ptr<fault::IngressThrottle> ingress_throttle() const;
@@ -130,6 +135,7 @@ class TcpServer {
   util::MpmcQueue<Work> work_queue_{1024};
   std::mutex connections_mu_;
   std::unordered_map<int, std::shared_ptr<Connection>> connections_;
+  std::uint64_t accepted_ = 0;  // event thread only
   std::thread event_thread_;
   std::vector<std::thread> workers_;
 };
@@ -183,20 +189,19 @@ class TcpChannel final : public Channel {
   }
 
   // Client-side fault hooks (kClientLatency sleeps before a send,
-  // kConnReset shuts the socket down and fails the call). Install before
-  // sharing the channel across threads.
+  // kConnReset shuts the socket down and fails the call), keyed per
+  // CallOptions::fault_keys entry. Install before sharing the channel.
   void install_fault_injector(std::shared_ptr<fault::FaultInjector> faults);
 
  private:
   std::future<json::Value> send_request(const std::string& method, json::Value params,
-                                        std::uint64_t& id_out,
-                                        const telemetry::TraceContext& trace = {});
+                                        std::uint64_t& id_out, const CallOptions& opts);
   // Reopens the socket and restarts the reader if the connection broke.
   void ensure_connected();
   // Offers the binary codec on a fresh socket (blocking, pre-reader) and
   // records the negotiated outcome in codec_.
   void negotiate(int fd);
-  void inject_send_faults();  // sleeps or throws per the installed plan
+  void inject_send_faults(std::span<const std::uint64_t> keys);  // sleeps or throws
   std::chrono::milliseconds effective_deadline(const CallOptions& opts) const {
     return opts.deadline.count() > 0 ? opts.deadline : timeout_;
   }
@@ -271,6 +276,7 @@ class TcpChannel final : public Channel {
   std::atomic<int> peer_api_{-1};
   std::atomic<std::int64_t> clock_offset_us_{0};
   std::shared_ptr<fault::FaultInjector> faults_;
+  std::atomic<std::uint64_t> unkeyed_frames_{0};  // fault key of the next unkeyed frame
   std::mutex write_mu_;  // request frames are written atomically, back-to-back
 
   std::mutex pending_mu_;

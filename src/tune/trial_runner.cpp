@@ -90,7 +90,6 @@ TrialOutcome LocalTrialRunner::run_trial(const TrialPoint& point) {
   core::DriverOptions options =
       core::driver_options_from_json(plan.at("driver"), &channels_per_target);
   options.server_id = "tune-" + std::to_string(point.index);
-  options.load_seed = point.seed;
 
   core::Deployment deployment =
       core::Deployment::deploy(plan, util::SteadyClock::shared());
@@ -176,9 +175,7 @@ TrialOutcome FleetTrialRunner::run_on_worker(const TrialPoint& point, std::size_
   fleet_plan.accounts = sut.smallbank_accounts;
   fleet_plan.workload = profile.to_json();
   fleet_plan.total_txs = point.txs;
-  json::Value driver = plan.at("driver");
-  driver.as_object()["load_seed"] = static_cast<std::int64_t>(point.seed);
-  fleet_plan.driver = driver;
+  fleet_plan.driver = plan.at("driver");
 
   core::Coordinator coordinator({{"127.0.0.1", workers_[worker].port()}});
   core::FleetResult fleet_result = coordinator.run(fleet_plan);

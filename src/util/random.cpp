@@ -75,6 +75,11 @@ std::uint64_t derive_seed(std::uint64_t master, std::uint64_t index) {
   return z ^ (z >> 31);
 }
 
+double unit(std::uint64_t seed, std::uint64_t kind, std::uint64_t key) {
+  // Top 53 bits: every double in [0, 1) on a 2^-53 grid.
+  return static_cast<double>(derive_seed(derive_seed(seed, kind), key) >> 11) * 0x1.0p-53;
+}
+
 namespace {
 double zeta(std::uint64_t n, double theta) {
   double sum = 0.0;

@@ -54,6 +54,10 @@ class Pcg32 {
 // streams (disjoint in practice, deterministic always).
 std::uint64_t derive_seed(std::uint64_t master, std::uint64_t index);
 
+// A uniform draw in [0, 1), a pure function of (seed, kind, key): for
+// decisions that must not depend on how many draws came before them.
+double unit(std::uint64_t seed, std::uint64_t kind, std::uint64_t key);
+
 // Zipf-distributed sampler over {0, 1, ..., n-1} with parameter theta
 // (theta = 0 degenerates to uniform). Uses the YCSB constant-time method.
 class ZipfSampler {

@@ -438,7 +438,7 @@ TEST(DriverOptionsFromJsonTest, ParsesEveryKnob) {
     "worker_threads": 3, "submit_batch_size": 8, "routing": "shard",
     "drain_timeout_ms": 0, "poll_interval_ms": 5, "task_shards": 4,
     "pipelined_signing": false, "trace_every_n": 10, "channels_per_target": 1,
-    "target_rate": 250.5, "rate_burst": 4, "load_seed": 9})"),
+    "target_rate": 250.5, "rate_burst": 4})"),
                                                    &channels);
   EXPECT_EQ(options.worker_threads, 3u);
   EXPECT_EQ(options.submit_batch_size, 8u);
@@ -451,7 +451,6 @@ TEST(DriverOptionsFromJsonTest, ParsesEveryKnob) {
   EXPECT_EQ(channels, 1u);
   EXPECT_DOUBLE_EQ(options.target_rate, 250.5);
   EXPECT_DOUBLE_EQ(options.rate_burst, 4.0);
-  EXPECT_EQ(options.load_seed, 9u);
 }
 
 TEST(DriverOptionsFromJsonTest, RejectsOutOfRangeIntegersByKey) {

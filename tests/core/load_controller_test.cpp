@@ -118,23 +118,6 @@ TEST(LoadControllerTest, OfferedRateNeedsTwoReleaseInstants) {
   EXPECT_DOUBLE_EQ(load.offered_rate(), 0.0);  // one instant, no window yet
 }
 
-TEST(LoadControllerTest, SeededJitterIsDeterministic) {
-  auto run_once = [] {
-    LoadOptions options;
-    options.rate = 50000.0;
-    options.burst = 1.0;
-    options.jitter = 0.5;
-    options.seed = 99;
-    LoadController load(options, util::SteadyClock::shared());
-    for (int i = 0; i < 50; ++i) load.acquire(1);
-    return load.released();
-  };
-  // The jitter stream is a pure function of the seed; both runs complete and
-  // release the same count (timing itself is wall-clock, counts are exact).
-  EXPECT_EQ(run_once(), 50u);
-  EXPECT_EQ(run_once(), 50u);
-}
-
 // Concurrent acquirers against one bucket: accounting stays exact and the
 // aggregate rate holds (the TSAN coverage for the pacing gate).
 TEST(LoadControllerTest, ConcurrentAcquirersShareTheBucketExactly) {

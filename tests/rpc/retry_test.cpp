@@ -7,6 +7,7 @@
 
 #include "rpc/jsonrpc.hpp"
 #include "util/errors.hpp"
+#include "util/random.hpp"
 
 namespace hammer::rpc {
 namespace {
@@ -56,29 +57,30 @@ TEST(RetryPolicyTest, ZeroJitterGivesExactExponentialScheduleClamped) {
   policy.multiplier = 2.0;
   policy.max_backoff = std::chrono::milliseconds(60);
   policy.jitter = 0.0;
-  util::Pcg32 rng(1, 2);
-  EXPECT_EQ(policy.backoff(1, rng).count(), 10000);
-  EXPECT_EQ(policy.backoff(2, rng).count(), 20000);
-  EXPECT_EQ(policy.backoff(3, rng).count(), 40000);
-  EXPECT_EQ(policy.backoff(4, rng).count(), 60000);  // clamped at max_backoff
-  EXPECT_EQ(policy.backoff(10, rng).count(), 60000);
+  EXPECT_EQ(policy.backoff(1, 0.7).count(), 10000);
+  EXPECT_EQ(policy.backoff(2, 0.7).count(), 20000);
+  EXPECT_EQ(policy.backoff(3, 0.7).count(), 40000);
+  EXPECT_EQ(policy.backoff(4, 0.7).count(), 60000);  // clamped at max_backoff
+  EXPECT_EQ(policy.backoff(10, 0.7).count(), 60000);
 }
 
 TEST(RetryPolicyTest, JitteredScheduleIsSeedDeterministicAndBounded) {
   RetryPolicy policy;
   policy.initial_backoff = std::chrono::milliseconds(8);
   policy.jitter = 0.5;
-  util::Pcg32 a(99, 7);
-  util::Pcg32 b(99, 7);
   for (std::uint32_t i = 1; i <= 6; ++i) {
-    auto first = policy.backoff(i, a);
-    EXPECT_EQ(first.count(), policy.backoff(i, b).count());
+    // The draw is util::unit(seed, 0, retry ordinal), as Retryer takes it.
+    const double draw = util::unit(99, 0, i);
+    auto first = policy.backoff(i, draw);
+    EXPECT_EQ(first.count(), policy.backoff(i, util::unit(99, 0, i)).count());
     // Jitter scales by a factor in [1 - jitter, 1]: never above the pure
-    // exponential value, never below half of it.
+    // exponential value, never below half of it — over the whole draw range.
     double exact = 8000.0 * std::pow(2.0, i - 1);
     exact = std::min(exact, 500000.0);
-    EXPECT_LE(first.count(), static_cast<std::int64_t>(exact) + 1);
-    EXPECT_GE(first.count(), static_cast<std::int64_t>(exact * 0.5) - 1);
+    for (double u : {0.0, draw, 0.999999}) {
+      EXPECT_LE(policy.backoff(i, u).count(), static_cast<std::int64_t>(exact) + 1);
+      EXPECT_GE(policy.backoff(i, u).count(), static_cast<std::int64_t>(exact * 0.5) - 1);
+    }
   }
 }
 

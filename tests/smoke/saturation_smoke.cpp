@@ -57,7 +57,6 @@ core::SaturationResult run_search() {
     driver_options.worker_threads = 2;
     driver_options.submit_batch_size = 8;
     driver_options.target_rate = rate;
-    driver_options.load_seed = seed;
     core::HammerDriver driver(
         core::SutCluster::single(sut.make_adapters(driver_options.worker_threads),
                                  sut.make_adapters(1)[0]),
