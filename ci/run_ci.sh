@@ -8,20 +8,24 @@
 #            runs 20 times and the other seeded smokes (fleet_2workers,
 #            cluster_scaleout, saturation, tune) 3 times each, and any
 #            failure fails the job ("same seed, same result" must hold on
-#            a loaded box too). Then the bench-smoke tier in its own
-#            ctest invocation (RUN_SERIAL benches can't interleave with a
-#            parallel unit wave, and the tier gets --timeout headroom for
-#            the saturation/fleet/grid runs), then the bench-regression
-#            check against ci/bench_baseline.json: one-sided `min` floors
-#            are FATAL, ±tolerance drift on noisy means is reported but non-fatal.
-#            Last, the benchmark (hammerbench/, its own CMake project over
-#            src/) is built and its unit tests run, so a src/ API change
-#            that breaks it fails here rather than at the next benchmark run;
-#            then the built hammerbench runs each workload for 3 s untraced
-#            and `peak` once traced (the per-layer ledger). A nonzero exit
-#            fails the job: its self-checks (conservation, ledger ground
-#            truth, every signature verifies, every transaction matched)
-#            exit 1 when one breaks.
+#            a loaded box too). Then the benchmark (hammerbench/, its own
+#            CMake project over src/) is built and its unit tests run, so a
+#            src/ API change that breaks it fails here rather than at the
+#            next benchmark run; then the built hammerbench runs each
+#            workload for 3 s untraced and `peak` once traced (the
+#            per-layer ledger). A nonzero exit fails the job: its
+#            self-checks (conservation, ledger ground truth, every
+#            signature verifies, every transaction matched) exit 1 when one
+#            breaks. ci/check_alloc_ceiling.py then fails the job when the
+#            traced peak run's process.allocs_per_tx exceeds 90 (about 55
+#            today, 160 before the JSON-RPC path was made copy-free; the
+#            script header has the reasoning). Last, the bench-smoke tier
+#            in its own ctest invocation (RUN_SERIAL benches can't
+#            interleave with a parallel unit wave, and the tier gets
+#            --timeout headroom for the saturation/fleet/grid runs), then
+#            the bench-regression check against ci/bench_baseline.json:
+#            one-sided `min` floors are FATAL, ±tolerance drift on noisy
+#            means is reported but non-fatal.
 #   asan     -DHAMMER_SANITIZE=address, unit + smoke tests only.
 #   tsan     -DHAMMER_SANITIZE=thread,  unit + smoke tests only.
 #
@@ -89,6 +93,20 @@ run_release() {
   banner "release: ctest unit + smoke"
   ctest --test-dir build-ci-release --output-on-failure -j "$JOBS" -L '^unit$|^smoke$'
   run_contention_gate build-ci-release
+  local bench_dir=build-ci-hammerbench
+  banner "release: build the benchmark and run hammerbench_tests"
+  cmake -B "$bench_dir" -S hammerbench -DCMAKE_BUILD_TYPE=RelWithDebInfo "${LAUNCHER[@]}"
+  cmake --build "$bench_dir" -j "$JOBS" --target hammerbench hammerbench_tests
+  "$bench_dir/hammerbench_tests"
+  banner "release: hammerbench self-checks (each workload 3 s, then peak traced)"
+  for workload in replay peak cluster; do
+    "$bench_dir/hammerbench" --workload "$workload" --seed 7 --seconds 3 --trace 0
+  done
+  "$bench_dir/hammerbench" --workload peak --seed 7 --seconds 3 --trace 1 \
+    > "$bench_dir/peak_traced.out"
+  cat "$bench_dir/peak_traced.out"
+  banner "release: allocation ceiling on the traced peak run"
+  python3 ci/check_alloc_ceiling.py "$bench_dir/peak_traced.out"
   banner "release: ctest bench-smoke tier (--timeout ${BENCH_TIMEOUT}s, RUN_SERIAL respected)"
   ctest --test-dir build-ci-release --output-on-failure -j "$JOBS" -L '^bench-smoke$' \
     --timeout "$BENCH_TIMEOUT"
@@ -101,16 +119,6 @@ run_release() {
   elif [ "$rc" -eq 1 ]; then
     echo "bench drift outside tolerance (non-fatal; shared runners are noisy)" >&2
   fi
-  local bench_dir=build-ci-hammerbench
-  banner "release: build the benchmark and run hammerbench_tests"
-  cmake -B "$bench_dir" -S hammerbench -DCMAKE_BUILD_TYPE=RelWithDebInfo "${LAUNCHER[@]}"
-  cmake --build "$bench_dir" -j "$JOBS" --target hammerbench hammerbench_tests
-  "$bench_dir/hammerbench_tests"
-  banner "release: hammerbench self-checks (each workload 3 s, then peak traced)"
-  for workload in replay peak cluster; do
-    "$bench_dir/hammerbench" --workload "$workload" --seed 7 --seconds 3 --trace 0
-  done
-  "$bench_dir/hammerbench" --workload peak --seed 7 --seconds 3 --trace 1
 }
 
 run_sanitizer() {

@@ -87,7 +87,7 @@ std::vector<ChainAdapter::SubmitResult> ChainAdapter::submit_batch(
     for (std::size_t j = 0; j < replies.size(); ++j) {
       std::size_t idx = open[j];
       if (replies[j].ok()) {
-        out[idx].tx_id = replies[j].result.at("tx_id").as_string();
+        out[idx].tx_id = std::move(replies[j].result.at("tx_id").as_string());
         out[idx].error.clear();
         out[idx].error_code = 0;
       } else {

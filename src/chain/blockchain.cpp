@@ -288,8 +288,9 @@ void bind_chain_rpc(std::shared_ptr<Blockchain> chain, rpc::Dispatcher& dispatch
         // admission cost (ingress sleep + signature check + pool insert)
         // from the RPC plumbing around it. No-op for unsampled calls.
         telemetry::ScopedSpan span(telemetry::SpanKind::kChainSubmit);
-        std::string id = chain->submit_via(endpoint, total_endpoints, std::move(tx));
-        return json::object({{"tx_id", id}});
+        json::Value result;
+        result["tx_id"] = chain->submit_via(endpoint, total_endpoints, std::move(tx));
+        return result;
       });
 
   dispatcher.register_method("chain.shard_for", [chain](const json::Value& params) {

@@ -56,15 +56,17 @@ std::string payload_id(std::string_view payload) {
 }
 
 json::Value Transaction::to_json() const {
+  // Sized once and filled in key order, so each member is appended.
   json::Object obj;
-  obj["contract"] = contract;
-  obj["op"] = op;
+  obj.reserve(9);
   obj["args"] = args;
-  obj["sender"] = sender;
   obj["client_id"] = client_id;
-  obj["server_id"] = server_id;
+  obj["contract"] = contract;
   obj["nonce"] = nonce;
+  obj["op"] = op;
   obj["pubkey"] = pubkey.y.to_hex();
+  obj["sender"] = sender;
+  obj["server_id"] = server_id;
   obj["sig"] = signature.to_hex();
   return json::Value(std::move(obj));
 }
@@ -94,17 +96,18 @@ const char* tx_status_name(TxStatus status) {
 
 json::Value TxReceipt::to_json() const {
   json::Object obj;
-  obj["tx_id"] = tx_id;
-  obj["status"] = static_cast<int>(status);
+  obj.reserve(detail.empty() ? 2 : 3);
   if (!detail.empty()) obj["detail"] = detail;
+  obj["status"] = static_cast<int>(status);
+  obj["tx_id"] = tx_id;
   return json::Value(std::move(obj));
 }
 
-TxReceipt TxReceipt::from_json(const json::Value& v) {
+TxReceipt TxReceipt::from_json(json::Value v) {
   TxReceipt r;
-  r.tx_id = v.at("tx_id").as_string();
+  r.tx_id = std::move(v.at("tx_id").as_string());
   r.status = static_cast<TxStatus>(v.get_int("status", 0));
-  r.detail = v.get_string("detail", "");
+  if (v.contains("detail")) r.detail = std::move(v.at("detail").as_string());
   return r;
 }
 
@@ -114,13 +117,14 @@ std::string BlockHeader::hash() const {
 
 json::Value BlockHeader::to_json() const {
   json::Object obj;
+  obj.reserve(7);
   obj["height"] = height;
-  obj["shard"] = static_cast<std::int64_t>(shard);
-  obj["parent"] = parent_hash;
   obj["merkle_root"] = merkle_root;
-  obj["timestamp_us"] = timestamp_us;
   obj["nonce"] = nonce;
+  obj["parent"] = parent_hash;
   obj["producer"] = producer;
+  obj["shard"] = static_cast<std::int64_t>(shard);
+  obj["timestamp_us"] = timestamp_us;
   return json::Value(std::move(obj));
 }
 
@@ -145,6 +149,7 @@ std::string Block::compute_merkle_root(const std::vector<TxReceipt>& receipts) {
 
 json::Value Block::to_json() const {
   json::Object obj;
+  obj.reserve(2);
   obj["header"] = header.to_json();
   json::Array rs;
   rs.reserve(receipts.size());
@@ -153,12 +158,12 @@ json::Value Block::to_json() const {
   return json::Value(std::move(obj));
 }
 
-Block Block::from_json(const json::Value& v) {
+Block Block::from_json(json::Value v) {
   Block b;
   b.header = BlockHeader::from_json(v.at("header"));
-  for (const json::Value& r : v.at("receipts").as_array()) {
-    b.receipts.push_back(TxReceipt::from_json(r));
-  }
+  json::Array& receipts = v.at("receipts").as_array();
+  b.receipts.reserve(receipts.size());
+  for (json::Value& r : receipts) b.receipts.push_back(TxReceipt::from_json(std::move(r)));
   return b;
 }
 

@@ -59,7 +59,9 @@ struct TxReceipt {
   std::string detail;  // e.g. the conflicting key for MVCC failures
 
   json::Value to_json() const;
-  static TxReceipt from_json(const json::Value& v);
+  // Takes the tree by value: a caller that owns it (std::move) gives up
+  // its strings instead of copying them.
+  static TxReceipt from_json(json::Value v);
 };
 
 struct BlockHeader {
@@ -84,7 +86,8 @@ struct Block {
   static std::string compute_merkle_root(const std::vector<TxReceipt>& receipts);
 
   json::Value to_json() const;
-  static Block from_json(const json::Value& v);
+  // By value, like TxReceipt::from_json: an owned tree's receipt ids move.
+  static Block from_json(json::Value v);
 };
 
 }  // namespace hammer::chain

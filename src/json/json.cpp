@@ -1,8 +1,12 @@
 #include "json/json.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
+#include <utility>
 
 namespace hammer::json {
 
@@ -27,6 +31,75 @@ const char* type_name(Value::Type t) {
   throw ParseError(std::string("expected JSON ") + type_name(want) + ", got " + type_name(got));
 }
 }  // namespace
+
+// ---------------------------------------------------------------- Object
+
+Object::Object(std::vector<value_type> members) : members_(std::move(members)) {
+  auto by_key = [](const value_type& a, const value_type& b) { return a.first < b.first; };
+  auto not_ascending = [](const value_type& a, const value_type& b) {
+    return !(a.first < b.first);
+  };
+  if (std::adjacent_find(members_.begin(), members_.end(), not_ascending) == members_.end()) {
+    return;  // already sorted with unique keys: the common case
+  }
+  // Stable, so each run of a repeated key keeps input order and its last
+  // element is the last value given.
+  std::stable_sort(members_.begin(), members_.end(), by_key);
+  auto out = members_.begin();
+  for (auto it = members_.begin(); it != members_.end(); ++it) {
+    if (out != members_.begin() && std::prev(out)->first == it->first) {
+      std::prev(out)->second = std::move(it->second);
+    } else {
+      if (out != it) *out = std::move(*it);
+      ++out;
+    }
+  }
+  members_.erase(out, members_.end());
+}
+
+Object::const_iterator Object::lower_bound(std::string_view key) const {
+  return std::lower_bound(members_.begin(), members_.end(), key,
+                          [](const value_type& m, std::string_view k) { return m.first < k; });
+}
+
+Object::iterator Object::lower_bound(std::string_view key) {
+  return members_.begin() + (std::as_const(*this).lower_bound(key) - members_.cbegin());
+}
+
+Value& Object::operator[](std::string_view key) {
+  if (members_.empty() || members_.back().first < key) {
+    return members_.emplace_back(std::string(key), Value()).second;
+  }
+  auto it = lower_bound(key);
+  if (it != members_.end() && it->first == key) return it->second;
+  return members_.emplace(it, std::string(key), Value())->second;
+}
+
+Object::const_iterator Object::find(std::string_view key) const {
+  auto it = lower_bound(key);
+  return it != members_.end() && it->first == key ? it : members_.end();
+}
+
+Object::iterator Object::find(std::string_view key) {
+  return members_.begin() + (std::as_const(*this).find(key) - members_.cbegin());
+}
+
+Object::size_type Object::count(std::string_view key) const {
+  return find(key) == members_.end() ? 0 : 1;
+}
+
+Object::size_type Object::erase(std::string_view key) {
+  auto it = find(key);
+  if (it == members_.end()) return 0;
+  members_.erase(it);
+  return 1;
+}
+
+Object::iterator Object::erase(const_iterator pos) { return members_.erase(pos); }
+
+bool Object::operator==(const Object& other) const { return members_ == other.members_; }
+
+// ---------------------------------------------------------------- Value
 
 bool Value::as_bool() const {
   if (!is_bool()) type_mismatch(Type::kBool, type());
@@ -53,6 +126,11 @@ const std::string& Value::as_string() const {
   return std::get<std::string>(data_);
 }
 
+std::string& Value::as_string() {
+  if (!is_string()) type_mismatch(Type::kString, type());
+  return std::get<std::string>(data_);
+}
+
 const Array& Value::as_array() const {
   if (!is_array()) type_mismatch(Type::kArray, type());
   return std::get<Array>(data_);
@@ -73,43 +151,61 @@ Object& Value::as_object() {
   return std::get<Object>(data_);
 }
 
-bool Value::contains(const std::string& key) const {
-  return is_object() && as_object().count(key) > 0;
+const Value* Value::member(std::string_view key) const {
+  if (!is_object()) return nullptr;
+  const Object& obj = std::get<Object>(data_);
+  auto it = obj.find(key);
+  return it == obj.end() ? nullptr : &it->second;
 }
 
-const Value& Value::at(const std::string& key) const {
+bool Value::contains(std::string_view key) const { return member(key) != nullptr; }
+
+const Value& Value::at(std::string_view key) const {
   const Object& obj = as_object();
   auto it = obj.find(key);
-  if (it == obj.end()) throw NotFoundError("JSON key '" + key + "'");
+  if (it == obj.end()) throw NotFoundError("JSON key '" + std::string(key) + "'");
   return it->second;
 }
 
-Value& Value::operator[](const std::string& key) {
+Value& Value::at(std::string_view key) {
+  return const_cast<Value&>(static_cast<const Value&>(*this).at(key));
+}
+
+Value& Value::operator[](std::string_view key) {
   if (is_null()) data_ = Object{};
   return as_object()[key];
 }
 
-std::int64_t Value::get_int(const std::string& key, std::int64_t fallback) const {
-  return contains(key) ? at(key).as_int() : fallback;
+std::int64_t Value::get_int(std::string_view key, std::int64_t fallback) const {
+  const Value* m = member(key);
+  return m ? m->as_int() : fallback;
 }
 
-double Value::get_double(const std::string& key, double fallback) const {
-  return contains(key) ? at(key).as_double() : fallback;
+double Value::get_double(std::string_view key, double fallback) const {
+  const Value* m = member(key);
+  return m ? m->as_double() : fallback;
 }
 
-std::string Value::get_string(const std::string& key, const std::string& fallback) const {
-  return contains(key) ? at(key).as_string() : fallback;
+std::string Value::get_string(std::string_view key, const std::string& fallback) const {
+  const Value* m = member(key);
+  return m ? m->as_string() : fallback;
 }
 
-bool Value::get_bool(const std::string& key, bool fallback) const {
-  return contains(key) ? at(key).as_bool() : fallback;
+bool Value::get_bool(std::string_view key, bool fallback) const {
+  const Value* m = member(key);
+  return m ? m->as_bool() : fallback;
 }
 
 // ---------------------------------------------------------------- writing
 
 void write_escaped(std::string& out, std::string_view s) {
   out.push_back('"');
-  for (char c : s) {
+  std::size_t run = 0;  // start of the pending run of bytes copied verbatim
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20) continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -118,16 +214,14 @@ void write_escaped(std::string& out, std::string_view s) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+        out += buf;
+      }
     }
   }
+  out.append(s.data() + run, s.size() - run);
   out.push_back('"');
 }
 
@@ -147,9 +241,12 @@ void Value::write(std::string& out, int indent, int depth) const {
     case Type::kBool:
       out += std::get<bool>(data_) ? "true" : "false";
       break;
-    case Type::kInt:
-      out += std::to_string(std::get<std::int64_t>(data_));
+    case Type::kInt: {
+      char buf[24];
+      const auto printed = std::to_chars(buf, buf + sizeof(buf), std::get<std::int64_t>(data_));
+      out.append(buf, printed.ptr);
       break;
+    }
     case Type::kDouble: {
       double d = std::get<double>(data_);
       if (!std::isfinite(d)) {
@@ -217,9 +314,72 @@ void Value::dump_into(std::string& out, int indent) const { write(out, indent, 0
 // ---------------------------------------------------------------- parsing
 
 namespace {
+
+// Members and elements of the containers a parse has open, innermost last.
+// A container parses into the tail of its thread's stack and, once closed,
+// moves them into one vector of exactly their count: a parsed object or
+// array allocates once, however many members it has.
+struct ParseStacks {
+  std::vector<Object::value_type> members;
+  std::vector<Value> elements;
+};
+
+ParseStacks& parse_stacks() {
+  thread_local ParseStacks stacks;
+  return stacks;
+}
+
+// Appends code point `code` to `out` as UTF-8.
+void put_utf8(std::string& out, unsigned code) {
+  if (code < 0x80) {
+    out.push_back(static_cast<char>(code));
+  } else if (code < 0x800) {
+    out.push_back(static_cast<char>(0xc0 | (code >> 6)));
+    out.push_back(static_cast<char>(0x80 | (code & 0x3f)));
+  } else if (code < 0x10000) {
+    out.push_back(static_cast<char>(0xe0 | (code >> 12)));
+    out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3f)));
+    out.push_back(static_cast<char>(0x80 | (code & 0x3f)));
+  } else {
+    out.push_back(static_cast<char>(0xf0 | (code >> 18)));
+    out.push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3f)));
+    out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3f)));
+    out.push_back(static_cast<char>(0x80 | (code & 0x3f)));
+  }
+}
+
+bool is_high_surrogate(unsigned code) { return code >= 0xd800 && code <= 0xdbff; }
+bool is_low_surrogate(unsigned code) { return code >= 0xdc00 && code <= 0xdfff; }
+
+constexpr unsigned kReplacementChar = 0xfffd;
+
+// Value of hex digit `h`, or -1.
+int hex_digit(char h) {
+  if (h >= '0' && h <= '9') return h - '0';
+  if (h >= 'a' && h <= 'f') return h - 'a' + 10;
+  if (h >= 'A' && h <= 'F') return h - 'A' + 10;
+  return -1;
+}
+
 class Parser {
  public:
-  explicit Parser(std::string_view text) : text_(text) {}
+  explicit Parser(std::string_view text)
+      : text_(text),
+        stacks_(parse_stacks()),
+        members_base_(stacks_.members.size()),
+        elements_base_(stacks_.elements.size()) {}
+
+  // A failed parse leaves its half-built containers on the stacks.
+  ~Parser() {
+    stacks_.members.erase(stacks_.members.begin() + static_cast<std::ptrdiff_t>(members_base_),
+                          stacks_.members.end());
+    stacks_.elements.erase(
+        stacks_.elements.begin() + static_cast<std::ptrdiff_t>(elements_base_),
+        stacks_.elements.end());
+  }
+
+  Parser(const Parser&) = delete;
+  Parser& operator=(const Parser&) = delete;
 
   Value parse_document() {
     Value v = parse_value();
@@ -290,47 +450,84 @@ class Parser {
 
   Value parse_object() {
     expect('{');
-    Object obj;
     skip_ws();
     if (peek() == '}') {
       ++pos_;
-      return Value(std::move(obj));
+      return Value(Object());
     }
+    std::vector<Object::value_type>& stack = stacks_.members;
+    const std::size_t base = stack.size();
     for (;;) {
       skip_ws();
       std::string key = parse_string();
       skip_ws();
       expect(':');
-      obj[std::move(key)] = parse_value();
+      Value value = parse_value();
+      stack.emplace_back(std::move(key), std::move(value));
       skip_ws();
       char c = take();
       if (c == '}') break;
       if (c != ',') fail("expected ',' or '}' in object");
     }
-    return Value(std::move(obj));
+    const auto first = stack.begin() + static_cast<std::ptrdiff_t>(base);
+    std::vector<Object::value_type> members;
+    members.reserve(stack.size() - base);
+    std::move(first, stack.end(), std::back_inserter(members));
+    stack.erase(first, stack.end());
+    // Object's constructor sorts if needed; a repeated key keeps its last
+    // value.
+    return Value(Object(std::move(members)));
   }
 
   Value parse_array() {
     expect('[');
-    Array arr;
     skip_ws();
     if (peek() == ']') {
       ++pos_;
-      return Value(std::move(arr));
+      return Value(Array());
     }
+    std::vector<Value>& stack = stacks_.elements;
+    const std::size_t base = stack.size();
     for (;;) {
-      arr.push_back(parse_value());
+      Value element = parse_value();
+      stack.push_back(std::move(element));
       skip_ws();
       char c = take();
       if (c == ']') break;
       if (c != ',') fail("expected ',' or ']' in array");
     }
+    const auto first = stack.begin() + static_cast<std::ptrdiff_t>(base);
+    Array arr;
+    arr.reserve(stack.size() - base);
+    std::move(first, stack.end(), std::back_inserter(arr));
+    stack.erase(first, stack.end());
     return Value(std::move(arr));
   }
 
+  // A string without escapes (every id, key and hex field on the RPC path)
+  // is built from its span in one allocation. The first backslash or
+  // control character hands the rest to parse_string_slow, so both paths
+  // decode, and fail, identically.
   std::string parse_string() {
     expect('"');
-    std::string out;
+    const std::size_t start = pos_;
+    for (std::size_t i = start; i < text_.size(); ++i) {
+      const char c = text_[i];
+      if (c == '"') {
+        pos_ = i + 1;
+        return std::string(text_.substr(start, i - start));
+      }
+      if (c == '\\' || static_cast<unsigned char>(c) < 0x20) {
+        pos_ = i;
+        return parse_string_slow(std::string(text_.substr(start, i - start)));
+      }
+    }
+    pos_ = text_.size();
+    return parse_string_slow(std::string(text_.substr(start)));
+  }
+
+  // Decodes from pos_ to the closing quote, appending to `out`.
+  std::string parse_string_slow(std::string out) {
     for (;;) {
       char c = take();
       if (c == '"') return out;
@@ -345,30 +542,7 @@ class Parser {
           case 'n': out.push_back('\n'); break;
           case 'r': out.push_back('\r'); break;
           case 't': out.push_back('\t'); break;
-          case 'u': {
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = take();
-              code <<= 4;
-              if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-              else fail("invalid \\u escape");
-            }
-            // Encode the code point as UTF-8 (surrogate pairs collapse to
-            // the replacement character; ids and config never use them).
-            if (code < 0x80) {
-              out.push_back(static_cast<char>(code));
-            } else if (code < 0x800) {
-              out.push_back(static_cast<char>(0xc0 | (code >> 6)));
-              out.push_back(static_cast<char>(0x80 | (code & 0x3f)));
-            } else {
-              out.push_back(static_cast<char>(0xe0 | (code >> 12)));
-              out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3f)));
-              out.push_back(static_cast<char>(0x80 | (code & 0x3f)));
-            }
-            break;
-          }
+          case 'u': put_utf8(out, parse_unicode_escape()); break;
           default: fail("invalid escape character");
         }
       } else if (static_cast<unsigned char>(c) < 0x20) {
@@ -377,6 +551,31 @@ class Parser {
         out.push_back(c);
       }
     }
+  }
+
+  // Reads the 4 hex digits after "\u" and returns the code point. A high
+  // surrogate followed by a "\u" low surrogate decodes the pair to one
+  // supplementary code point; a surrogate half without its partner
+  // decodes to U+FFFD, so the output is always valid UTF-8.
+  unsigned parse_unicode_escape() {
+    unsigned code = 0;
+    for (int i = 0; i < 4; ++i) {
+      int digit = hex_digit(take());
+      if (digit < 0) fail("invalid \\u escape");
+      code = (code << 4) | static_cast<unsigned>(digit);
+    }
+    if (is_low_surrogate(code)) return kReplacementChar;
+    if (!is_high_surrogate(code)) return code;
+    unsigned low = 0;
+    if (text_.substr(pos_, 2) != "\\u" || text_.size() - pos_ < 6) return kReplacementChar;
+    for (std::size_t i = pos_ + 2; i < pos_ + 6; ++i) {
+      int digit = hex_digit(text_[i]);
+      if (digit < 0) return kReplacementChar;  // the loop reports it next
+      low = (low << 4) | static_cast<unsigned>(digit);
+    }
+    if (!is_low_surrogate(low)) return kReplacementChar;
+    pos_ += 6;
+    return 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
   }
 
   Value parse_number() {
@@ -414,6 +613,9 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  ParseStacks& stacks_;
+  const std::size_t members_base_;
+  const std::size_t elements_base_;
 };
 }  // namespace
 
@@ -421,6 +623,7 @@ Value Value::parse(std::string_view text) { return Parser(text).parse_document()
 
 Value object(std::initializer_list<std::pair<std::string, Value>> items) {
   Object obj;
+  obj.reserve(items.size());
   for (const auto& [k, v] : items) obj[k] = v;
   return Value(std::move(obj));
 }

@@ -3,14 +3,34 @@
 // Used for: workload profiles, deployment plans, the JSON-RPC wire format,
 // and chain payload encoding. Numbers are stored as int64 when the literal
 // is integral (transaction ids, timestamps) and double otherwise.
+//
+// Object representation. An Object is one vector of (key, value) members
+// kept sorted by key, not a node-based map: a 9-key transaction is one
+// allocation for the members instead of nine tree nodes, and lookups are a
+// binary search over contiguous memory. Iteration is in key order, so
+// serialized output stays deterministic (the test suite, golden files and
+// the signing payload rely on sorted keys).
+//
+// Reference invalidation. Inserting or erasing a member moves its
+// siblings, so it invalidates every reference, pointer and iterator into
+// the same object (std::map never did). Do not hold a `Value&` to one
+// member across an insert into the same object: `Value& a = obj["a"];
+// obj["b"] = 2; a = 3;` writes through a dangling reference, and so does
+// `obj["b"] = obj["a"];` when "b" is new (the right side is evaluated
+// first). References into a different object, or into a member's own
+// subtree while only that subtree changes, stay valid.
+//
+// Duplicate keys. The text parser keeps the LAST value for a repeated key
+// (as assigning through operator[] would); the binary codec's decode_value
+// keeps the FIRST (the std::map::emplace rule it had before).
 #pragma once
 
 #include <cstdint>
 #include <initializer_list>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -20,9 +40,48 @@ namespace hammer::json {
 
 class Value;
 using Array = std::vector<Value>;
-// std::map keeps serialized output deterministic (sorted keys), which the
-// test suite and golden files rely on.
-using Object = std::map<std::string, Value>;
+
+// JSON object: members sorted by key in one vector, with the subset of the
+// std::map interface callers use. Lookups take string_view, so a literal
+// key builds no temporary string.
+class Object {
+ public:
+  using value_type = std::pair<std::string, Value>;
+  using size_type = std::size_t;
+  using iterator = std::vector<value_type>::iterator;
+  using const_iterator = std::vector<value_type>::const_iterator;
+
+  Object() = default;
+  // Takes members in any order; a repeated key keeps its last value (the
+  // text parser's rule). Sorts only when the input is not already sorted.
+  explicit Object(std::vector<value_type> members);
+
+  iterator begin();
+  iterator end();
+  const_iterator begin() const;
+  const_iterator end() const;
+  size_type size() const;
+  bool empty() const;
+  // Sizes the member vector once for an object built key by key.
+  void reserve(size_type n);
+
+  // Inserts a null member if `key` is absent. Appending keys in sorted
+  // order costs one comparison per insert.
+  Value& operator[](std::string_view key);
+  iterator find(std::string_view key);
+  const_iterator find(std::string_view key) const;
+  size_type count(std::string_view key) const;
+  size_type erase(std::string_view key);
+  iterator erase(const_iterator pos);
+
+  bool operator==(const Object& other) const;
+
+ private:
+  iterator lower_bound(std::string_view key);
+  const_iterator lower_bound(std::string_view key) const;
+
+  std::vector<value_type> members_;
+};
 
 class Value {
  public:
@@ -63,16 +122,21 @@ class Value {
   const Object& as_object() const;
   Object& as_object();
 
+  // Mutable string access, so a caller that owns a tree can move a string
+  // out of it instead of copying.
+  std::string& as_string();
+
   // Object helpers.
-  bool contains(const std::string& key) const;
-  const Value& at(const std::string& key) const;  // throws NotFoundError
-  Value& operator[](const std::string& key);      // inserts null if absent
+  bool contains(std::string_view key) const;
+  const Value& at(std::string_view key) const;  // throws NotFoundError
+  Value& at(std::string_view key);              // throws NotFoundError
+  Value& operator[](std::string_view key);      // inserts null if absent
 
   // Lookup with defaults for optional config fields.
-  std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
-  double get_double(const std::string& key, double fallback) const;
-  std::string get_string(const std::string& key, const std::string& fallback) const;
-  bool get_bool(const std::string& key, bool fallback) const;
+  std::int64_t get_int(std::string_view key, std::int64_t fallback) const;
+  double get_double(std::string_view key, double fallback) const;
+  std::string get_string(std::string_view key, const std::string& fallback) const;
+  bool get_bool(std::string_view key, bool fallback) const;
 
   bool operator==(const Value& other) const { return data_ == other.data_; }
 
@@ -87,10 +151,21 @@ class Value {
   static Value parse(std::string_view text);
 
  private:
+  // The member named `key`, or nullptr when this is not an object or has
+  // no such member.
+  const Value* member(std::string_view key) const;
   void write(std::string& out, int indent, int depth) const;
 
   std::variant<std::nullptr_t, bool, std::int64_t, double, std::string, Array, Object> data_;
 };
+
+inline Object::iterator Object::begin() { return members_.begin(); }
+inline Object::iterator Object::end() { return members_.end(); }
+inline Object::const_iterator Object::begin() const { return members_.begin(); }
+inline Object::const_iterator Object::end() const { return members_.end(); }
+inline Object::size_type Object::size() const { return members_.size(); }
+inline bool Object::empty() const { return members_.empty(); }
+inline void Object::reserve(size_type n) { members_.reserve(n); }
 
 // Appends `s` as a quoted, escaped JSON string — the writer dump() uses
 // for every string and key.

@@ -1,7 +1,6 @@
 #include "rpc/jsonrpc.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "rpc/api.hpp"
 #include "util/errors.hpp"
@@ -24,51 +23,65 @@ const json::Value& BatchReply::take() const {
   return result;
 }
 
-BatchReply to_batch_reply(const json::Value& response) {
+BatchReply to_batch_reply(json::Value response) {
   BatchReply reply;
   if (!response.is_object()) {
     reply.error_code = kParseError;
     reply.error_message = "RPC response is not an object";
     return reply;
   }
-  if (response.contains("error")) {
-    const json::Value& err = response.at("error");
-    reply.error_code = static_cast<int>(err.get_int("code", kInternalError));
+  json::Object& envelope = response.as_object();
+  if (auto err = envelope.find("error"); err != envelope.end()) {
+    reply.error_code = static_cast<int>(err->second.get_int("code", kInternalError));
     if (reply.error_code == 0) reply.error_code = kInternalError;
-    reply.error_message = err.get_string("message", "unknown error");
+    reply.error_message = err->second.get_string("message", "unknown error");
     return reply;
   }
-  if (!response.contains("result")) {
+  auto result = envelope.find("result");
+  if (result == envelope.end()) {
     reply.error_code = kParseError;
     reply.error_message = "RPC response lacks result and error";
     return reply;
   }
-  reply.result = response.at("result");
+  reply.result = std::move(result->second);
   return reply;
 }
 
-std::vector<BatchReply> match_batch_replies(const json::Value& response,
+namespace {
+// Whether response entry `entry` carries the integer id `id`.
+bool answers(const json::Value& entry, std::uint64_t id) {
+  if (!entry.is_object()) return false;
+  const json::Object& envelope = entry.as_object();
+  auto it = envelope.find("id");
+  return it != envelope.end() && it->second.is_int() &&
+         static_cast<std::uint64_t>(it->second.as_int()) == id;
+}
+}  // namespace
+
+std::vector<BatchReply> match_batch_replies(json::Value response,
                                             const std::vector<std::uint64_t>& ids) {
   std::vector<BatchReply> out(ids.size());
   if (!response.is_array()) {
     // Whole-batch failure (e.g. the server judged the batch invalid): every
     // entry carries the same error.
-    BatchReply shared = to_batch_reply(response);
+    BatchReply shared = to_batch_reply(std::move(response));
     for (BatchReply& r : out) r = shared;
     return out;
   }
-  std::unordered_map<std::uint64_t, const json::Value*> by_id;
-  for (const json::Value& entry : response.as_array()) {
-    if (!entry.is_object() || !entry.contains("id") || !entry.at("id").is_int()) continue;
-    by_id.emplace(static_cast<std::uint64_t>(entry.at("id").as_int()), &entry);
-  }
+  json::Array& entries = response.as_array();
+  // Servers reply in request order, so entry i normally answers ids[i];
+  // otherwise scan (batches are small).
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    auto it = by_id.find(ids[i]);
-    if (it == by_id.end()) {
+    std::size_t at = i;
+    if (at >= entries.size() || !answers(entries[at], ids[i])) {
+      at = 0;
+      while (at < entries.size() && !answers(entries[at], ids[i])) ++at;
+    }
+    if (at == entries.size()) {
       out[i].error_code = kInternalError;
       out[i].error_message = "no response for batch id " + std::to_string(ids[i]);
     } else {
-      out[i] = to_batch_reply(*it->second);
+      out[i] = to_batch_reply(std::move(entries[at]));
     }
   }
   return out;
@@ -99,7 +112,10 @@ std::vector<std::string> Dispatcher::method_names() const {
 CallOutcome Dispatcher::invoke(std::string_view method, const json::Value& params) const {
   CallOutcome outcome;
   try {
-    Handler handler;
+    // Methods are never unregistered and map nodes never move, so the
+    // handler is called through a pointer taken under the lock: no
+    // std::function copy (a heap allocation for a large capture) per call.
+    const Handler* handler = nullptr;
     {
       std::scoped_lock lock(mu_);
       auto it = methods_.find(method);
@@ -120,7 +136,7 @@ CallOutcome Dispatcher::invoke(std::string_view method, const json::Value& param
                       std::string(method) + "'";
         return outcome;
       }
-      handler = it->second;
+      handler = &it->second;
     }
     if (telemetry::trace_active()) {
       // First traced call of the frame flushes the pending queue-wait span;
@@ -128,9 +144,9 @@ CallOutcome Dispatcher::invoke(std::string_view method, const json::Value& param
       // opened inside it parent correctly.
       telemetry::emit_queue_wait_span();
       telemetry::ScopedSpan span(telemetry::SpanKind::kHandler, std::string(method));
-      outcome.result = handler(params);
+      outcome.result = (*handler)(params);
     } else {
-      outcome.result = handler(params);
+      outcome.result = (*handler)(params);
     }
   } catch (const RejectedError& e) {
     outcome.error_code = kServerError;
@@ -149,63 +165,77 @@ CallOutcome Dispatcher::invoke(std::string_view method, const json::Value& param
   return outcome;
 }
 
-json::Value Dispatcher::dispatch(const json::Value& request) const {
-  json::Value id;  // null until we can extract one
+CallOutcome Dispatcher::resolve(json::Value& request, json::Value& id) const {
+  auto reject = [](int code, std::string message) {
+    return CallOutcome{json::Value(), code, std::move(message)};
+  };
   try {
-    if (!request.is_object()) {
-      return make_error_response(id, kInvalidRequest, "request must be an object");
+    if (!request.is_object()) return reject(kInvalidRequest, "request must be an object");
+    json::Object& envelope = request.as_object();
+    if (auto it = envelope.find("id"); it != envelope.end()) id = std::move(it->second);
+    auto version = envelope.find("jsonrpc");
+    if (version == envelope.end() || version->second.as_string() != "2.0") {
+      return reject(kInvalidRequest, "missing jsonrpc: \"2.0\"");
     }
-    if (request.contains("id")) id = request.at("id");
-    if (request.get_string("jsonrpc", "") != "2.0") {
-      return make_error_response(id, kInvalidRequest, "missing jsonrpc: \"2.0\"");
+    auto method = envelope.find("method");
+    if (method == envelope.end() || !method->second.is_string()) {
+      return reject(kInvalidRequest, "missing method");
     }
-    if (!request.contains("method") || !request.at("method").is_string()) {
-      return make_error_response(id, kInvalidRequest, "missing method");
-    }
-    const std::string& method = request.at("method").as_string();
-    json::Value params = request.contains("params") ? request.at("params") : json::Value();
+    // The request is ours: its params move to the handler, uncopied.
+    json::Value params;
+    if (auto it = envelope.find("params"); it != envelope.end()) params = std::move(it->second);
     // JSON-codec trace propagation: a `_trace` params member carries the
     // context. It is stripped before the handler sees the params, so traced
     // and untraced calls observe identical arguments.
     telemetry::TraceContext trace;
-    if (params.is_object() && params.contains("_trace")) {
-      const json::Value& t = params.at("_trace");
-      trace.trace_id = static_cast<std::uint64_t>(t.get_int("t", 0));
-      trace.span_id = static_cast<std::uint64_t>(t.get_int("s", 0));
-      params.as_object().erase("_trace");
+    if (params.is_object()) {
+      json::Object& members = params.as_object();
+      if (auto t = members.find("_trace"); t != members.end()) {
+        trace.trace_id = static_cast<std::uint64_t>(t->second.get_int("t", 0));
+        trace.span_id = static_cast<std::uint64_t>(t->second.get_int("s", 0));
+        members.erase(t);
+      }
     }
-    CallOutcome outcome;
     if (trace.sampled()) {
       telemetry::ScopedTrace scope(trace);
-      outcome = invoke(method, params);
-    } else {
-      outcome = invoke(method, params);
+      return invoke(method->second.as_string(), params);
     }
-    if (!outcome.ok()) {
-      return make_error_response(id, outcome.error_code, outcome.error_message);
-    }
-    return make_result_response(id, std::move(outcome.result));
+    return invoke(method->second.as_string(), params);
   } catch (const std::exception& e) {
     HLOG_WARN("rpc") << "dispatch raised: " << e.what();
-    return make_error_response(id, kInternalError, e.what());
+    return reject(kInternalError, e.what());
   }
 }
 
-json::Value Dispatcher::dispatch_batch(const json::Value& batch) const {
-  if (!batch.is_array()) {
-    return make_error_response(json::Value(), kInvalidRequest, "batch must be an array");
-  }
-  const json::Array& entries = batch.as_array();
-  if (entries.empty()) {
-    return make_error_response(json::Value(), kInvalidRequest, "empty batch");
-  }
-  json::Array responses;
-  responses.reserve(entries.size());
-  // Each entry dispatches independently; a malformed or failing entry
-  // yields its own error response without poisoning its siblings.
-  for (const json::Value& entry : entries) responses.push_back(dispatch(entry));
-  return json::Value(std::move(responses));
+json::Value Dispatcher::dispatch(json::Value request) const {
+  json::Value id;  // null until we can extract one
+  CallOutcome outcome = resolve(request, id);
+  if (!outcome.ok()) return make_error_response(id, outcome.error_code, outcome.error_message);
+  return make_result_response(id, std::move(outcome.result));
 }
+
+namespace {
+// Response writers: the bytes equal make_result_response(...).dump() and
+// make_error_response(...).dump() (keys in sorted order).
+void write_result_response(std::string& out, const json::Value& id, const json::Value& result) {
+  out += "{\"id\":";
+  id.dump_into(out);
+  out += ",\"jsonrpc\":\"2.0\",\"result\":";
+  result.dump_into(out);
+  out += '}';
+}
+
+void write_error_response(std::string& out, const json::Value& id, int code,
+                          std::string_view message) {
+  out += "{\"error\":{\"code\":";
+  out += std::to_string(code);
+  out += ",\"message\":";
+  json::write_escaped(out, message);
+  out += "},\"id\":";
+  id.dump_into(out);
+  out += ",\"jsonrpc\":\"2.0\"}";
+}
+}  // namespace
 
 std::string Dispatcher::dispatch_text(std::string_view request_text) const {
   std::string out;
@@ -218,14 +248,48 @@ void Dispatcher::dispatch_text_into(std::string_view request_text, std::string& 
   try {
     request = json::Value::parse(request_text);
   } catch (const ParseError& e) {
-    make_error_response(json::Value(), kParseError, e.what()).dump_into(out);
+    write_error_response(out, json::Value(), kParseError, e.what());
     return;
   }
-  if (request.is_array()) {
-    dispatch_batch(request).dump_into(out);
-  } else {
-    dispatch(request).dump_into(out);
+  // Each envelope is resolved in place (its params move to the handler)
+  // and its response written straight into `out`.
+  auto respond = [this, &out](json::Value& envelope) {
+    json::Value id;  // null until resolve() extracts one
+    CallOutcome outcome = resolve(envelope, id);
+    if (outcome.ok()) {
+      write_result_response(out, id, outcome.result);
+    } else {
+      write_error_response(out, id, outcome.error_code, outcome.error_message);
+    }
+  };
+  if (!request.is_array()) {
+    respond(request);
+    return;
   }
+  json::Array& entries = request.as_array();
+  if (entries.empty()) {
+    write_error_response(out, json::Value(), kInvalidRequest, "empty batch");
+    return;
+  }
+  // Each entry dispatches independently; a malformed or failing entry
+  // yields its own error response without poisoning its siblings.
+  out += '[';
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    if (i > 0) out += ',';
+    respond(entries[i]);
+  }
+  out += ']';
+}
+
+void write_request(std::string& out, std::uint64_t id, std::string_view method,
+                   const json::Value& params) {
+  out += "{\"id\":";
+  out += std::to_string(static_cast<std::int64_t>(id));
+  out += ",\"jsonrpc\":\"2.0\",\"method\":";
+  json::write_escaped(out, method);
+  out += ",\"params\":";
+  params.dump_into(out);
+  out += '}';
 }
 
 json::Value make_request(std::uint64_t id, const std::string& method, json::Value params) {
@@ -256,15 +320,16 @@ json::Value make_error_response(const json::Value& id, int code, const std::stri
   return json::Value(std::move(obj));
 }
 
-json::Value take_result(const json::Value& response) {
+json::Value take_result(json::Value response) {
   if (!response.is_object()) throw ParseError("RPC response is not an object");
-  if (response.contains("error")) {
-    const json::Value& err = response.at("error");
-    throw RpcError(static_cast<int>(err.get_int("code", kInternalError)),
-                   err.get_string("message", "unknown error"));
+  json::Object& envelope = response.as_object();
+  if (auto err = envelope.find("error"); err != envelope.end()) {
+    throw RpcError(static_cast<int>(err->second.get_int("code", kInternalError)),
+                   err->second.get_string("message", "unknown error"));
   }
-  if (!response.contains("result")) throw ParseError("RPC response lacks result and error");
-  return response.at("result");
+  auto result = envelope.find("result");
+  if (result == envelope.end()) throw ParseError("RPC response lacks result and error");
+  return std::move(result->second);
 }
 
 std::future<json::Value> Channel::call_async(const std::string& method, json::Value params,
@@ -311,13 +376,14 @@ json::Value InProcChannel::call(const std::string& method, json::Value params,
   // same (de)serialization as the TCP path. Tracing installs the context
   // directly (dispatch runs on the calling thread) instead of rewriting the
   // request, so traced and untraced wire bytes stay identical.
-  json::Value request = make_request(id, method, std::move(params));
+  std::string request_text;
+  write_request(request_text, id, method, params);
   std::string response_text;
   if (opts.trace.sampled()) {
     telemetry::ScopedTrace scope(opts.trace);
-    response_text = dispatcher_->dispatch_text(request.dump());
+    response_text = dispatcher_->dispatch_text(request_text);
   } else {
-    response_text = dispatcher_->dispatch_text(request.dump());
+    response_text = dispatcher_->dispatch_text(request_text);
   }
   return take_result(json::Value::parse(response_text));
 }
@@ -326,16 +392,16 @@ std::vector<BatchReply> InProcChannel::call_batch(const std::vector<BatchCall>& 
                                                   const CallOptions& opts) {
   if (calls.empty()) return {};
   std::vector<std::uint64_t> ids(calls.size());
-  json::Array entries;
-  entries.reserve(calls.size());
   {
     std::scoped_lock lock(mu_);
-    for (std::size_t i = 0; i < calls.size(); ++i) {
-      ids[i] = next_id_++;
-      entries.push_back(make_request(ids[i], calls[i].method, calls[i].params));
-    }
+    for (std::uint64_t& id : ids) id = next_id_++;
   }
-  std::string request_text = json::Value(std::move(entries)).dump();
+  std::string request_text = "[";
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    if (i > 0) request_text += ',';
+    write_request(request_text, ids[i], calls[i].method, calls[i].params);
+  }
+  request_text += ']';
   std::string response_text;
   if (opts.trace.sampled()) {
     telemetry::ScopedTrace scope(opts.trace);

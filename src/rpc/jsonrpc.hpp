@@ -79,13 +79,15 @@ struct BatchReply {
   const json::Value& take() const;
 };
 
-// Converts one response envelope into a BatchReply (never throws).
-BatchReply to_batch_reply(const json::Value& response);
+// Converts one response envelope into a BatchReply (never throws). Takes
+// the envelope by value and moves its result out.
+BatchReply to_batch_reply(json::Value response);
 
-// Matches a batch response to the request ids it answers, order-independent.
-// A single error object (the server rejected the whole batch) is fanned out
-// to every entry; ids with no response become kInternalError entries.
-std::vector<BatchReply> match_batch_replies(const json::Value& response,
+// Matches a batch response to the (distinct) request ids it answers,
+// order-independent. A single error object (the server rejected the whole
+// batch) is fanned out to every entry; ids with no response become
+// kInternalError entries. Results are moved out of `response`.
+std::vector<BatchReply> match_batch_replies(json::Value response,
                                             const std::vector<std::uint64_t>& ids);
 
 // Handler receives the `params` value and returns the `result` value.
@@ -129,11 +131,16 @@ class Dispatcher {
   // throws.
   CallOutcome invoke(std::string_view method, const json::Value& params) const;
 
-  // Structured entry points used by the in-process channel.
-  json::Value dispatch(const json::Value& request) const;
-  json::Value dispatch_batch(const json::Value& batch) const;
+  // Structured entry point: one request envelope in, one response envelope
+  // out (never throws). The text path above writes the same response
+  // bytes without building the envelope.
+  json::Value dispatch(json::Value request) const;
 
  private:
+  // Validates one request envelope, extracts its id into `id`, moves its
+  // params out and invokes the method. Never throws.
+  CallOutcome resolve(json::Value& request, json::Value& id) const;
+
   mutable std::mutex mu_;
   // Heterogeneous compare: invoke() looks methods up by string_view with no
   // temporary std::string on the hot path.
@@ -212,12 +219,20 @@ class InProcChannel final : public Channel {
   std::mutex mu_;
 };
 
-// Request/response envelope helpers shared by transports.
+// Appends one request envelope, {"id":…,"jsonrpc":"2.0","method":…,
+// "params":…}, to `out` without building it as a tree: the one request
+// writer of every JSON transport. The bytes equal
+// make_request(id, method, params).dump().
+void write_request(std::string& out, std::uint64_t id, std::string_view method,
+                   const json::Value& params);
+
+// Request/response envelopes as trees (Dispatcher::dispatch and tests).
 json::Value make_request(std::uint64_t id, const std::string& method, json::Value params);
 json::Value make_result_response(const json::Value& id, json::Value result);
 json::Value make_error_response(const json::Value& id, int code, const std::string& message);
 
-// Extracts the result from a response or throws RpcError/ParseError.
-json::Value take_result(const json::Value& response);
+// Extracts the result from a response or throws RpcError/ParseError. Takes
+// the envelope by value and moves the result out.
+json::Value take_result(json::Value response);
 
 }  // namespace hammer::rpc

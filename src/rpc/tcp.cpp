@@ -887,7 +887,7 @@ std::future<json::Value> TcpChannel::send_request(const std::string& method, jso
       params["_trace"] = json::object({{"t", static_cast<std::int64_t>(trace.trace_id)},
                                        {"s", static_cast<std::int64_t>(trace.span_id)}});
     }
-    make_request(id_out, method, std::move(params)).dump_into(*frame);
+    write_request(*frame, id_out, method, params);
   }
   if (frame->size() > kMaxFrameBytes) {
     forget(id_out);
@@ -1033,20 +1033,20 @@ std::vector<BatchReply> TcpChannel::call_batch(const std::vector<BatchCall>& cal
       wire::encode_call(*frame, first_id + i, calls[i].method, calls[i].params);
     }
   } else {
-    json::Array entries;
-    entries.reserve(calls.size());
+    frame->push_back('[');
     for (std::size_t i = 0; i < calls.size(); ++i) {
+      if (i > 0) frame->push_back(',');
       if (traced && calls[i].params.is_object()) {
         json::Value params = calls[i].params;
         params["_trace"] =
             json::object({{"t", static_cast<std::int64_t>(opts.trace.trace_id)},
                           {"s", static_cast<std::int64_t>(opts.trace.span_id)}});
-        entries.push_back(make_request(first_id + i, calls[i].method, std::move(params)));
+        write_request(*frame, first_id + i, calls[i].method, params);
       } else {
-        entries.push_back(make_request(first_id + i, calls[i].method, calls[i].params));
+        write_request(*frame, first_id + i, calls[i].method, calls[i].params);
       }
     }
-    json::Value(std::move(entries)).dump_into(*frame);
+    frame->push_back(']');
   }
   if (frame->size() > kMaxFrameBytes) {
     forget_range(first_id, group);
@@ -1133,7 +1133,7 @@ TcpChannel::BatchRange* TcpChannel::find_range(std::uint64_t id, std::uint32_t& 
   return &it->second;
 }
 
-void TcpChannel::complete(const json::Value& response) {
+void TcpChannel::complete(json::Value& response) {
   if (!response.is_object() || !response.contains("id") || !response.at("id").is_int()) {
     HLOG_DEBUG("tcp") << "dropping response without a usable id";
     return;
@@ -1159,7 +1159,7 @@ void TcpChannel::complete(const json::Value& response) {
   if (single) {
     RpcMetrics::get().inflight.sub(1);
     try {
-      promise.set_value(take_result(response));
+      promise.set_value(take_result(std::move(response)));
     } catch (...) {
       promise.set_exception(std::current_exception());
     }
@@ -1167,7 +1167,7 @@ void TcpChannel::complete(const json::Value& response) {
   }
   BatchReply reply;
   try {
-    reply.result = take_result(response);
+    reply.result = take_result(std::move(response));
   } catch (const RpcError& e) {
     reply.error_code = e.code();
     reply.error_message = e.what();
@@ -1392,7 +1392,7 @@ void TcpChannel::reader_loop(int fd) {
       json::Value response = json::Value::parse(payload);
       if (response.is_array()) {
         // Batch response: complete every contained reply independently.
-        for (const json::Value& entry : response.as_array()) complete(entry);
+        for (json::Value& entry : response.as_array()) complete(entry);
       } else {
         complete(response);
       }

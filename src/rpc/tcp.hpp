@@ -246,7 +246,8 @@ class TcpChannel final : public Channel {
   // range, parks a zero-copy Slice on that group, wakes the caller and
   // returns true. False means the frame needs the complete_binary path.
   bool try_handoff(const wire::BufferPtr& buf, std::string_view body);
-  void complete(const json::Value& response);
+  // Completes the call one JSON response answers; moves its result out.
+  void complete(json::Value& response);
   // Completes every entry of one binary response frame: one pass under the
   // pending-table lock to resolve ids, one lock per batch group (usually a
   // single group per frame) to fill replies. Results are moved out.

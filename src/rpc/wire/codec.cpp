@@ -49,36 +49,9 @@ const char* to_string(WireCodec codec) {
   return "?";
 }
 
-void put_varint(std::string& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<char>((v & 0x7f) | 0x80));
-    v >>= 7;
-  }
-  out.push_back(static_cast<char>(v));
-}
-
-void put_zigzag(std::string& out, std::int64_t v) {
-  put_varint(out, (static_cast<std::uint64_t>(v) << 1) ^
-                      static_cast<std::uint64_t>(v >> 63));
-}
-
-std::uint64_t get_varint(const char*& p, const char* end) {
-  std::uint64_t v = 0;
-  int shift = 0;
-  while (p < end) {
-    unsigned char byte = static_cast<unsigned char>(*p++);
-    if (shift == 63 && byte > 1) throw ParseError("varint overflows 64 bits");
-    v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) return v;
-    shift += 7;
-    if (shift > 63) throw ParseError("varint overflows 64 bits");
-  }
+void throw_bad_varint(bool overflow) {
+  if (overflow) throw ParseError("varint overflows 64 bits");
   truncated("varint");
-}
-
-std::int64_t get_zigzag(const char*& p, const char* end) {
-  std::uint64_t raw = get_varint(p, end);
-  return static_cast<std::int64_t>((raw >> 1) ^ (~(raw & 1) + 1));
 }
 
 // Direct recursive walk rather than the json::Visitor SAX interface: the
@@ -128,47 +101,74 @@ void encode_value(std::string& out, const json::Value& v) {
   }
 }
 
-json::Value decode_value(const char*& p, const char* end) {
+namespace {
+
+// Decodes one value into `out` (null on entry) in place: members and
+// elements are built where they will live, not returned and moved.
+void decode_into(json::Value& out, const char*& p, const char* end) {
   if (p >= end) truncated("value tag");
   unsigned char tag = static_cast<unsigned char>(*p++);
   switch (tag) {
-    case kTagNull: return json::Value(nullptr);
-    case kTagFalse: return json::Value(false);
-    case kTagTrue: return json::Value(true);
-    case kTagInt: return json::Value(get_zigzag(p, end));
+    case kTagNull: return;
+    case kTagFalse: out = false; return;
+    case kTagTrue: out = true; return;
+    case kTagInt: out = get_zigzag(p, end); return;
     case kTagDouble: {
       if (end - p < static_cast<std::ptrdiff_t>(sizeof(double))) truncated("double");
       double d;
       std::memcpy(&d, p, sizeof(double));
       p += sizeof(double);
-      return json::Value(d);
+      out = d;
+      return;
     }
-    case kTagString: return json::Value(std::string(get_bytes(p, end, "string")));
+    case kTagString: out = get_bytes(p, end, "string"); return;
     case kTagArray: {
       std::uint64_t count = get_varint(p, end);
-      json::Array arr;
-      // Guard reserve with the bytes actually available: a corrupt count
-      // must not pre-allocate gigabytes before the decode loop fails.
-      arr.reserve(static_cast<std::size_t>(
-          std::min<std::uint64_t>(count, static_cast<std::uint64_t>(end - p))));
-      for (std::uint64_t i = 0; i < count; ++i) arr.push_back(decode_value(p, end));
-      return json::Value(std::move(arr));
+      // Every element takes at least its tag byte: a corrupt count must not
+      // pre-allocate gigabytes before the decode loop fails.
+      if (count > static_cast<std::uint64_t>(end - p)) truncated("array");
+      json::Array arr(static_cast<std::size_t>(count));
+      for (json::Value& item : arr) decode_into(item, p, end);
+      out = std::move(arr);
+      return;
     }
     case kTagObject: {
       std::uint64_t count = get_varint(p, end);
-      json::Object obj;
+      // Every member takes at least a key length and a tag byte.
+      if (count > static_cast<std::uint64_t>(end - p) / 2) truncated("object");
+      std::vector<json::Object::value_type> members;
+      members.reserve(static_cast<std::size_t>(count));
+      bool ascending = true;
       for (std::uint64_t i = 0; i < count; ++i) {
-        std::string key(get_bytes(p, end, "object key"));
-        // Canonical encoding emits keys in sorted order, so an end() hint
-        // makes each insert amortized O(1); an unsorted (foreign) encoder
-        // still decodes correctly, the hint is just wasted.
-        obj.emplace_hint(obj.end(), std::move(key), decode_value(p, end));
+        std::string_view key = get_bytes(p, end, "object key");
+        ascending = ascending && (members.empty() || members.back().first < key);
+        auto& member = members.emplace_back(std::piecewise_construct,
+                                            std::forward_as_tuple(key), std::forward_as_tuple());
+        decode_into(member.second, p, end);
       }
-      return json::Value(std::move(obj));
+      if (!ascending) {
+        // Canonical encoders emit keys in strictly ascending order. A
+        // foreign one may not: sort once (O(n log n) whatever the order),
+        // and a repeated key keeps its first value.
+        auto key_less = [](const auto& a, const auto& b) { return a.first < b.first; };
+        auto key_equal = [](const auto& a, const auto& b) { return a.first == b.first; };
+        std::stable_sort(members.begin(), members.end(), key_less);
+        members.erase(std::unique(members.begin(), members.end(), key_equal), members.end());
+      }
+      out = json::Object(std::move(members));
+      return;
     }
     default:
       throw ParseError("unknown binary value tag " + std::to_string(tag));
   }
+}
+
+}  // namespace
+
+json::Value decode_value(const char*& p, const char* end) {
+  json::Value out;
+  decode_into(out, p, end);
+  return out;
 }
 
 void put_header(std::string& out, FrameKind kind) {

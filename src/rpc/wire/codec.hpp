@@ -30,7 +30,7 @@
 //
 // Values serialize as a tag byte + payload (varint/zigzag ints, 8-byte LE
 // doubles, length-prefixed strings, count-prefixed arrays/objects). Object
-// members encode in key order (json::Object is sorted), so encoding is
+// members encode in key order (json::Object keeps them sorted), so encoding is
 // canonical: encode(decode(bytes)) == bytes for every valid input.
 #pragma once
 
@@ -73,12 +73,43 @@ inline constexpr int kErrUnsupportedVersion = -32011;
 
 // ---------------------------------------------------------------- varints
 
-void put_varint(std::string& out, std::uint64_t v);
-void put_zigzag(std::string& out, std::int64_t v);
+// Inline: every key, string length, count and int on the per-call path
+// passes through them, and most are one byte.
+
+inline void put_varint(std::string& out, std::uint64_t v) {
+  while (v >= 0x80) {
+    out.push_back(static_cast<char>((v & 0x7f) | 0x80));
+    v >>= 7;
+  }
+  out.push_back(static_cast<char>(v));
+}
+
+inline void put_zigzag(std::string& out, std::int64_t v) {
+  put_varint(out, (static_cast<std::uint64_t>(v) << 1) ^ static_cast<std::uint64_t>(v >> 63));
+}
+
+// Throws hammer::ParseError: "varint overflows 64 bits", or a truncation.
+[[noreturn]] void throw_bad_varint(bool overflow);
 
 // Readers advance `p`; throw hammer::ParseError on truncated/overlong input.
-std::uint64_t get_varint(const char*& p, const char* end);
-std::int64_t get_zigzag(const char*& p, const char* end);
+inline std::uint64_t get_varint(const char*& p, const char* end) {
+  std::uint64_t v = 0;
+  int shift = 0;
+  while (p < end) {
+    unsigned char byte = static_cast<unsigned char>(*p++);
+    if (shift == 63 && byte > 1) throw_bad_varint(true);
+    v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+    if ((byte & 0x80) == 0) return v;
+    shift += 7;
+    if (shift > 63) throw_bad_varint(true);
+  }
+  throw_bad_varint(false);
+}
+
+inline std::int64_t get_zigzag(const char*& p, const char* end) {
+  std::uint64_t raw = get_varint(p, end);
+  return static_cast<std::int64_t>((raw >> 1) ^ (~(raw & 1) + 1));
+}
 
 // ---------------------------------------------------------------- values
 

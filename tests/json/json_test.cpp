@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 namespace hammer::json {
 namespace {
 
@@ -119,6 +123,134 @@ TEST(JsonBuilderTest, ObjectAndArrayHelpers) {
   Value v = object({{"list", array({1, "two", 3.0})}});
   EXPECT_EQ(v.at("list").as_array().size(), 3u);
   EXPECT_EQ(v.at("list").as_array()[1].as_string(), "two");
+}
+
+// ---------------------------------------------------------------- strings
+
+// The message Value::parse throws for `text`, or "" if it parses.
+std::string parse_error(std::string_view text) {
+  try {
+    Value::parse(text);
+  } catch (const ParseError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(JsonStringTest, SurrogatePairDecodesToOneFourByteSequence) {
+  EXPECT_EQ(Value::parse(R"("\ud83d\ude00")").as_string(), "\xf0\x9f\x98\x80");  // 😀
+  EXPECT_EQ(Value::parse(R"("a\uD83D\uDE00b")").as_string(), "a\xf0\x9f\x98\x80" "b");
+}
+
+TEST(JsonStringTest, LoneSurrogatesDecodeToReplacementCharacter) {
+  const std::string fffd = "\xef\xbf\xbd";
+  EXPECT_EQ(Value::parse(R"("\ud800")").as_string(), fffd);        // lone high half
+  EXPECT_EQ(Value::parse(R"("\udc00")").as_string(), fffd);        // lone low half
+  EXPECT_EQ(Value::parse(R"("\ud800x")").as_string(), fffd + "x");  // high, then no escape
+  // A high half followed by a non-surrogate escape keeps that escape.
+  EXPECT_EQ(Value::parse(R"("\ud800\u0041")").as_string(), fffd + "A");
+  // Two high halves: neither has a partner.
+  EXPECT_EQ(Value::parse(R"("\ud800\ud800")").as_string(), fffd + fffd);
+  // A high half followed by a bad escape still fails on that escape.
+  EXPECT_EQ(parse_error(R"("\ud800\u00zz")"), "parse error: invalid \\u escape at offset 12");
+}
+
+TEST(JsonStringTest, FastAndSlowPathsDecodeAlike) {
+  // Escape-free strings take the span path; an escape anywhere sends the
+  // rest through the escape decoder. Both must give the same bytes.
+  const std::string hex(128, 'f');
+  EXPECT_EQ(Value::parse("\"" + hex + "\"").as_string(), hex);
+  EXPECT_EQ(Value::parse("\"" + hex.substr(1) + "\\u0066\"").as_string(), hex);
+  EXPECT_EQ(Value::parse("\"\\u0066" + hex.substr(1) + "\"").as_string(), hex);
+  EXPECT_EQ(Value::parse(R"("")").as_string(), "");
+  EXPECT_EQ(Value::parse(R"("a/b")").as_string(), Value::parse(R"("a\/b")").as_string());
+  Value keyed = Value::parse(R"({"k\u0065y": 1, "plain": 2})");
+  EXPECT_EQ(keyed.at("key").as_int(), 1);
+  EXPECT_EQ(keyed.at("plain").as_int(), 2);
+}
+
+TEST(JsonStringTest, FastAndSlowPathsFailAlike) {
+  // Offsets are those of the byte after the offending one, wherever the
+  // escape decoder took over.
+  const std::string control = "parse error: unescaped control character in string at offset ";
+  EXPECT_EQ(parse_error("\"ab\x01\""), control + "4");
+  EXPECT_EQ(parse_error("\"\\nb\x01\""), control + "5");
+  EXPECT_EQ(parse_error("\"ab\ncd\""), control + "4");
+  EXPECT_EQ(parse_error("\"abc"), "parse error: unexpected end of input at offset 4");
+  EXPECT_EQ(parse_error("\"a\\tc"), "parse error: unexpected end of input at offset 5");
+  EXPECT_EQ(parse_error("\"abc\\"), "parse error: unexpected end of input at offset 5");
+  EXPECT_EQ(parse_error("\""), "parse error: unexpected end of input at offset 1");
+  EXPECT_EQ(parse_error(R"("a\qb")"), "parse error: invalid escape character at offset 4");
+}
+
+// ---------------------------------------------------------------- Object
+
+std::vector<std::string> keys_of(const Object& obj) {
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : obj) keys.push_back(key);
+  return keys;
+}
+
+TEST(JsonObjectTest, IteratesInKeyOrderWhateverTheInsertionOrder) {
+  const std::vector<std::string> sorted = {"", "a", "ab", "b", "sig", "z"};
+  std::vector<std::string> order = sorted;
+  do {
+    Object obj;
+    for (const std::string& key : order) obj[key] = key;
+    ASSERT_EQ(keys_of(obj), sorted);
+    for (const auto& [key, value] : obj) EXPECT_EQ(value.as_string(), key);
+  } while (std::next_permutation(order.begin(), order.end()));
+  EXPECT_EQ(keys_of(Value::parse(R"({"z":1,"b":2,"a":3})").as_object()),
+            (std::vector<std::string>{"a", "b", "z"}));
+  EXPECT_EQ(Value::parse(R"({"z":1,"b":2,"a":3})").dump(), R"({"a":3,"b":2,"z":1})");
+}
+
+TEST(JsonObjectTest, SubscriptInsertsNullAndFindsExisting) {
+  Object obj;
+  EXPECT_TRUE(obj.empty());
+  EXPECT_TRUE(obj["x"].is_null());
+  EXPECT_EQ(obj.size(), 1u);
+  obj["x"] = 3;
+  EXPECT_EQ(obj["x"].as_int(), 3);
+  EXPECT_EQ(obj.size(), 1u);
+  EXPECT_EQ(obj.count("x"), 1u);
+  EXPECT_EQ(obj.count("y"), 0u);
+  EXPECT_EQ(obj.find("y"), obj.end());
+  ASSERT_NE(obj.find("x"), obj.end());
+  EXPECT_EQ(obj.find("x")->second.as_int(), 3);
+}
+
+TEST(JsonObjectTest, TextParseKeepsTheLastDuplicate) {
+  Value v = Value::parse(R"({"a":1,"b":2,"a":3})");
+  EXPECT_EQ(v.as_object().size(), 2u);
+  EXPECT_EQ(v.at("a").as_int(), 3);
+  EXPECT_EQ(v.dump(), R"({"a":3,"b":2})");
+  EXPECT_EQ(Value::parse(R"({"k":1,"k":2,"k":3})").dump(), R"({"k":3})");
+}
+
+TEST(JsonObjectTest, MembersConstructorSortsAndKeepsTheLastDuplicate) {
+  std::vector<Object::value_type> members;
+  members.emplace_back("c", 1);
+  members.emplace_back("a", 2);
+  members.emplace_back("c", 3);
+  members.emplace_back("b", 4);
+  Object obj(std::move(members));
+  EXPECT_EQ(keys_of(obj), (std::vector<std::string>{"a", "b", "c"}));
+  EXPECT_EQ(obj.find("c")->second.as_int(), 3);
+}
+
+TEST(JsonObjectTest, EraseAndEquality) {
+  Value a = Value::parse(R"({"x":1,"y":[1,2],"z":{"k":null}})");
+  Value b = object({{"z", object({{"k", nullptr}})}, {"y", array({1, 2})}, {"x", 1}});
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a.as_object().erase("y"), 1u);
+  EXPECT_EQ(a.as_object().erase("y"), 0u);
+  EXPECT_FALSE(a == b);
+  EXPECT_EQ(a.dump(), R"({"x":1,"z":{"k":null}})");
+  b.as_object().erase(b.as_object().find("y"));
+  EXPECT_EQ(a, b);
+  b["x"] = 2;
+  EXPECT_FALSE(a == b);
 }
 
 }  // namespace

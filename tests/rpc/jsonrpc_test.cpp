@@ -228,5 +228,111 @@ TEST(InProcChannelTest, EmptyBatchReturnsEmpty) {
   EXPECT_TRUE(channel.call_batch({}).empty());
 }
 
+// ------------------------------------------------ envelope bytes, pinned
+// The request writer and the dispatcher's response writers never build the
+// envelope as a tree; their bytes must equal the tree writer's.
+
+TEST(WriteRequestTest, BytesEqualTheTreeWriter) {
+  const std::vector<json::Value> params = {
+      json::object({{"tx", json::object({{"sig", "ab"}, {"nonce", 7}, {"args", json::object({})}})},
+                    {"z", 1.5}}),
+      json::Value(),
+      json::array({1, "two", json::array({}), json::object({{"k", nullptr}})}),
+      json::object({{"quote\"key", "line\nbreak\ttab \\ slash \x01 \xc3\xa9"}}),
+      json::Value("bare string"),
+  };
+  const std::vector<std::string> methods = {"chain.submit", "odd \"method\"\n"};
+  const std::vector<std::uint64_t> ids = {0, 1, 4096, ~std::uint64_t{0}};
+  for (const json::Value& p : params) {
+    for (const std::string& method : methods) {
+      for (std::uint64_t id : ids) {
+        std::string text = "prefix";
+        write_request(text, id, method, p);
+        EXPECT_EQ(text, "prefix" + make_request(id, method, p).dump());
+      }
+    }
+  }
+}
+
+std::shared_ptr<Dispatcher> make_text_dispatcher() {
+  auto d = make_dispatcher();
+  d->register_method("escape", [](const json::Value&) -> json::Value {
+    throw RejectedError("say \"no\"\n\\ \x02");
+  });
+  return d;
+}
+
+std::string parse_error_message(std::string_view text) {
+  try {
+    json::Value::parse(text);
+  } catch (const ParseError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(DispatchTextTest, SingleResponsesEqualTheTreeWriter) {
+  auto d = make_text_dispatcher();
+  const json::Value id(5);
+  // ok
+  EXPECT_EQ(d->dispatch_text(make_request(5, "add", json::object({{"a", 2}, {"b", 3}})).dump()),
+            make_result_response(id, json::Value(5)).dump());
+  EXPECT_EQ(d->dispatch_text(make_request(5, "echo", json::array({"x", json::object({})})).dump()),
+            make_result_response(id, json::array({"x", json::object({})})).dump());
+  // errors, with a message that needs escaping
+  EXPECT_EQ(d->dispatch_text(make_request(5, "escape", json::Value()).dump()),
+            make_error_response(id, kServerError, "rejected: say \"no\"\n\\ \x02").dump());
+  EXPECT_EQ(d->dispatch_text(make_request(5, "nope", json::Value()).dump()),
+            make_error_response(id, kMethodNotFound, "unknown method namespace 'nope' in method "
+                                                     "'nope'").dump());
+  EXPECT_EQ(d->dispatch_text(R"({"id":"s","method":"echo"})"),
+            make_error_response(json::Value("s"), kInvalidRequest, "missing jsonrpc: \"2.0\"")
+                .dump());
+  EXPECT_EQ(d->dispatch_text("42"),
+            make_error_response(json::Value(), kInvalidRequest, "request must be an object")
+                .dump());
+  // parse error and empty batch: null id
+  EXPECT_EQ(d->dispatch_text("{not json"),
+            make_error_response(json::Value(), kParseError, parse_error_message("{not json"))
+                .dump());
+  EXPECT_EQ(d->dispatch_text("[]"),
+            make_error_response(json::Value(), kInvalidRequest, "empty batch").dump());
+}
+
+TEST(DispatchTextTest, TraceMemberIsStrippedBeforeTheHandler) {
+  auto d = make_text_dispatcher();
+  json::Value params = json::object({{"x", 1}});
+  params["_trace"] = json::object({{"t", 9}, {"s", 4}});
+  EXPECT_EQ(d->dispatch_text(make_request(3, "echo", params).dump()),
+            make_result_response(json::Value(3), json::object({{"x", 1}})).dump());
+}
+
+TEST(DispatchTextTest, BatchResponseEqualsTheTreeWriter) {
+  auto d = make_text_dispatcher();
+  json::Array batch;
+  batch.push_back(make_request(1, "add", json::object({{"a", 2}, {"b", 3}})));
+  batch.push_back(make_request(2, "reject", json::Value()));
+  batch.push_back(make_request(3, "missing.method", json::Value()));
+  batch.push_back(json::Value("not a request"));
+  batch.push_back(make_request(4, "escape", json::Value()));
+  batch.push_back(make_request(5, "echo", json::object({{"_trace", json::object({{"t", 1}})}})));
+  json::Array expected;
+  for (const json::Value& entry : batch) expected.push_back(d->dispatch(entry));
+  EXPECT_EQ(d->dispatch_text(json::Value(batch).dump()), json::Value(std::move(expected)).dump());
+}
+
+TEST(MatchBatchRepliesTest, InOrderResponsesMatchByPosition) {
+  json::Array responses;
+  responses.push_back(make_result_response(json::Value(7), json::Value("a")));
+  responses.push_back(make_error_response(json::Value(8), kServerError, "full"));
+  responses.push_back(make_result_response(json::Value(9), json::Value("c")));
+  auto replies = match_batch_replies(json::Value(std::move(responses)), {7, 8, 9});
+  ASSERT_EQ(replies.size(), 3u);
+  EXPECT_EQ(replies[0].take().as_string(), "a");
+  EXPECT_EQ(replies[1].error_code, kServerError);
+  EXPECT_EQ(replies[1].error_message, "full");
+  EXPECT_EQ(replies[2].take().as_string(), "c");
+}
+
 }  // namespace
 }  // namespace hammer::rpc

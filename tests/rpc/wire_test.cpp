@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -155,6 +157,61 @@ TEST(BinaryCodecTest, TruncatedValueThrowsNotCrashes) {
       // expected for genuinely truncated input
     }
   }
+}
+
+// A foreign encoder may repeat a key. The binary decoder keeps the first
+// value (the std::map::emplace rule), the text parser the last.
+TEST(BinaryCodecTest, RepeatedKeyKeepsTheFirstValue) {
+  std::string bytes;
+  encode_value(bytes, json::object({{"a", "first"}, {"b", "second"}, {"c", 3}}));
+  // Rename key "b" to "a": same length, so the frame stays well formed.
+  const std::size_t b = bytes.find('b');
+  ASSERT_NE(b, std::string::npos);
+  bytes[b] = 'a';
+  const char* p = bytes.data();
+  json::Value back = decode_value(p, bytes.data() + bytes.size());
+  EXPECT_EQ(p, bytes.data() + bytes.size());
+  EXPECT_EQ(back.dump(), R"({"a":"first","c":3})");
+  EXPECT_EQ(json::Value::parse(R"({"a":"first","a":"second","c":3})").dump(),
+            R"({"a":"second","c":3})");
+}
+
+// A frame whose keys arrive in reverse order must decode in O(n log n):
+// inserting each key at its sorted position would shift every member
+// after it, O(n^2) moves, and let one hostile frame stall a reader.
+TEST(BinaryCodecTest, ReverseOrderedObjectDecodesInBoundedTime) {
+  constexpr int kMembers = 100000;
+  auto key = [](int i) {
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "k%07d", i);
+    return std::string(buf);
+  };
+  // One member's bytes: a one-member object's encoding minus its tag and
+  // its one-byte count.
+  auto member = [&](int i, std::int64_t value) {
+    std::string one;
+    encode_value(one, json::object({{key(i), value}}));
+    return one.substr(2);
+  };
+  std::string bytes;
+  encode_value(bytes, json::Value(json::Object()));  // the object tag, count 0
+  bytes.resize(1);
+  put_varint(bytes, kMembers + 1);
+  for (int i = kMembers - 1; i >= 0; --i) bytes += member(i, i);
+  bytes += member(5, -1);  // a repeat, out of order too: the first value wins
+
+  const auto start = std::chrono::steady_clock::now();
+  const char* p = bytes.data();
+  json::Value back = decode_value(p, bytes.data() + bytes.size());
+  const auto took = std::chrono::steady_clock::now() - start;
+
+  EXPECT_EQ(p, bytes.data() + bytes.size());
+  const json::Object& obj = back.as_object();
+  ASSERT_EQ(obj.size(), static_cast<std::size_t>(kMembers));
+  EXPECT_EQ(obj.begin()->first, key(0));
+  EXPECT_EQ(obj.find(key(5))->second.as_int(), 5);
+  EXPECT_EQ(obj.find(key(kMembers - 1))->second.as_int(), kMembers - 1);
+  EXPECT_LT(std::chrono::duration<double>(took).count(), 5.0);
 }
 
 // --------------------------------------------------------------- framing
